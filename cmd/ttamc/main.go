@@ -199,25 +199,7 @@ func run(args []string) error {
 		return errors.New("-swifi needs -dist-workers")
 	}
 	if *statsFlag {
-		opts.Stats = func(st mc.Stats) {
-			fmt.Fprintf(os.Stderr,
-				"ttamc: %d states in %v (%.0f states/s), %d levels, peak frontier %d, %d allocs (%d bytes)\n",
-				st.States, st.Duration.Round(time.Millisecond), st.StatesPerSec,
-				st.Levels, st.PeakFrontier, st.Allocs, st.AllocBytes)
-			fmt.Fprintf(os.Stderr,
-				"ttamc: visited set: load factor %.2f, resident %d bytes (peak %d), probe lengths %v\n",
-				st.LoadFactor, st.ResidentBytes, st.PeakResidentBytes, st.ProbeHist)
-			if st.SealedStates > 0 {
-				fmt.Fprintf(os.Stderr,
-					"ttamc: sealed tier: %d states, arena %d bytes (%.2f B/state), index %d bytes\n",
-					st.SealedStates, st.SealedArenaBytes,
-					float64(st.SealedArenaBytes)/float64(st.SealedStates), st.SealedIndexBytes)
-			}
-			if st.WireFrames > 0 {
-				fmt.Fprintf(os.Stderr, "ttamc: wire: %d frames, %d bytes\n",
-					st.WireFrames, st.WireBytes)
-			}
-		}
+		opts.Stats = func(st mc.Stats) { writeStats(os.Stderr, st) }
 	}
 	levels := 0
 	opts.Progress = func(p mc.Progress) {
@@ -380,5 +362,33 @@ func parseAuthority(s string) (guardian.Authority, error) {
 		return guardian.AuthorityFullShift, nil
 	default:
 		return 0, fmt.Errorf("unknown authority %q", s)
+	}
+}
+
+// writeStats prints a search's -stats lines. Figures the backend did
+// not measure are left out, not printed as 0: a distributed search
+// (st.InProcess false) has no heap or visited-set figures here, because
+// its visited set lives in the worker processes.
+func writeStats(w io.Writer, st mc.Stats) {
+	fmt.Fprintf(w, "ttamc: %d states in %v (%.0f states/s), %d levels, peak frontier %d",
+		st.States, st.Duration.Round(time.Millisecond), st.StatesPerSec,
+		st.Levels, st.PeakFrontier)
+	if st.InProcess {
+		fmt.Fprintf(w, ", %d allocs (%d bytes)", st.Allocs, st.AllocBytes)
+	}
+	fmt.Fprintln(w)
+	if st.InProcess {
+		fmt.Fprintf(w,
+			"ttamc: visited set: load factor %.2f, resident %d bytes (peak %d), probe lengths %v\n",
+			st.LoadFactor, st.ResidentBytes, st.PeakResidentBytes, st.ProbeHist)
+	}
+	if st.SealedStates > 0 {
+		fmt.Fprintf(w,
+			"ttamc: sealed tier: %d states, arena %d bytes (%.2f B/state), index %d bytes\n",
+			st.SealedStates, st.SealedArenaBytes,
+			float64(st.SealedArenaBytes)/float64(st.SealedStates), st.SealedIndexBytes)
+	}
+	if st.WireFrames > 0 {
+		fmt.Fprintf(w, "ttamc: wire: %d frames, %d bytes\n", st.WireFrames, st.WireBytes)
 	}
 }

@@ -3,8 +3,10 @@ package main
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"ttastar/internal/mc"
@@ -108,5 +110,61 @@ func TestRunMemBudgetFlag(t *testing.T) {
 	// A generous budget must not perturb the verdict.
 	if err := run([]string{"-authority", "smallshift", "-nodes", "2", "-mem-budget", "1073741824", "-stats"}); err != nil {
 		t.Errorf("generous memory budget: %v", err)
+	}
+}
+
+// TestMain lets -dist-workers runs re-execute this test binary as their
+// worker processes, the way they re-execute ttamc itself.
+func TestMain(m *testing.M) {
+	if len(os.Args) == 2 && os.Args[1] == "-dist-worker" {
+		if err := run(os.Args[1:]); err != nil {
+			fmt.Fprintln(os.Stderr, "ttamc:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// stderrOf runs ttamc with args and returns what it wrote to stderr.
+func stderrOf(t *testing.T, args ...string) string {
+	t.Helper()
+	f, err := os.Create(filepath.Join(t.TempDir(), "stderr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stderr
+	os.Stderr = f
+	err = run(args)
+	os.Stderr = saved
+	if err != nil {
+		t.Fatalf("ttamc %s: %v", strings.Join(args, " "), err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}
+
+// TestRunStatsOmitsUnmeasured: -stats prints the heap and visited-set
+// figures of an in-process search, and leaves them out of a distributed
+// one, whose backend does not measure them, rather than print zeros.
+func TestRunStatsOmitsUnmeasured(t *testing.T) {
+	local := stderrOf(t, "-authority", "smallshift", "-nodes", "3", "-parallel", "2", "-stats")
+	for _, want := range []string{"361 states in", "allocs (", "load factor", "resident", "probe lengths"} {
+		if !strings.Contains(local, want) {
+			t.Errorf("in-process -stats lacks %q:\n%s", want, local)
+		}
+	}
+	distOut := stderrOf(t, "-authority", "smallshift", "-nodes", "3", "-dist-workers", "2", "-stats")
+	if !strings.Contains(distOut, "361 states in") || !strings.Contains(distOut, "ttamc: wire:") {
+		t.Errorf("dist -stats lacks the measured figures:\n%s", distOut)
+	}
+	for _, unmeasured := range []string{"allocs", "load factor", "resident", "probe lengths", "visited set"} {
+		if strings.Contains(distOut, unmeasured) {
+			t.Errorf("dist -stats prints the unmeasured %q:\n%s", unmeasured, distOut)
+		}
 	}
 }

@@ -430,6 +430,7 @@ func check(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes, o
 	var ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms1)
 	st := Stats{
+		InProcess:          true,
 		States:             res.StatesExplored,
 		Transitions:        res.TransitionsExplored,
 		Levels:             met.levels,

@@ -246,6 +246,13 @@ type Stats struct {
 	Duration time.Duration
 	// StatesPerSec is States/Duration.
 	StatesPerSec float64
+	// InProcess reports that the in-process engine ran the search, so
+	// the heap figures (Allocs, AllocBytes) and the visited-set figures
+	// (LoadFactor through SealedIndexBytes) were measured. A distributed
+	// backend leaves it false: its visited set and most of its heap live
+	// in worker processes, those fields stay zero, and they are not
+	// measurements — a reader leaves them out rather than print 0.
+	InProcess bool
 	// Allocs and AllocBytes are the process-wide heap allocation deltas
 	// across the search — a whole-process measure, exact only when
 	// nothing else runs. Both derive from runtime.MemStats' monotonic

@@ -47,8 +47,6 @@ package model
 // E1 matrix numbers are reported in oracle mode.
 
 import (
-	"bytes"
-
 	"ttastar/internal/mc"
 )
 
@@ -94,49 +92,107 @@ func (m *Model) Canonicalize(enc mc.State) mc.State {
 // rounds, well under a hundred slots — but the walk must terminate on
 // any input bytes, and truncating merely yields a finer (still sound)
 // quotient: the truncated representative is still a deterministic
-// function of the input state.
+// function of the input state. Jumped steps count in full.
 const ffCap = 1024
 
 // Canonicalize rewrites enc in place to its class representative. It
-// reuses the Expander's decode scratch, so like Successors it performs
-// no steady-state allocation; enc must not alias a state the caller
-// still needs in concrete form. Safe between Successors calls on the
-// same Expander (the scratch is dead at that point), not during them.
+// works in the packed domain wherever the output allows: the dead tail
+// is one masked overwrite with the Model's precomputed empty tail, and
+// a frozen node's 20-bit record is overwritten with the init record —
+// neither decodes anything. Only all-{listen, cold_start} states, whose
+// node records the fast-forward rewrites, are decoded, into the
+// Expander's decode scratch; so like Successors it performs no
+// steady-state allocation. enc must not alias a state the caller still
+// needs in concrete form. Safe between Successors calls on the same
+// Expander (the scratch is dead at that point), not during them.
 func (e *Expander) Canonicalize(enc []byte) {
 	m := e.m
 	if !m.Reducible() {
 		return
 	}
-	m.decodeInto(enc, &e.s)
-	cur := &e.s
+	m.checkBinarySize(enc)
+	n := m.cfg.Nodes
 	allLC := true
-	for i := range cur.Nodes {
-		switch cur.Nodes[i].Phase {
+	for i := 0; i < n; i++ {
+		switch Phase(phaseBits(enc, i)) {
 		case PhaseFreeze:
-			cur.Nodes[i] = NodeState{Phase: PhaseInit}
+			putNodeBits(enc, i, initWord)
 			allLC = false
 		case PhaseListen, PhaseColdStart:
 		default:
 			allLC = false
 		}
 	}
-	clearTail(cur, m.cfg.Couplers)
 	if allLC {
-		cur = e.fastForward(cur)
+		m.decodeInto(enc, &e.s)
+		for i, nd := range e.fastForward(&e.s).Nodes {
+			putNodeBits(enc, i, nodeWord(&nd))
+		}
 	}
-	e.canonBuf = m.appendBinary(e.canonBuf[:0], cur)
-	copy(enc, e.canonBuf)
+	m.tail.put(enc)
+}
+
+// initWord is the packed record of a freshly initialized node — the
+// freeze → init collapse's image of every frozen record.
+var initWord = nodeWord(&NodeState{Phase: PhaseInit})
+
+// emptyTail is a Model's packed empty coupler/out-of-slot tail: FrameNone
+// with id 0 per coupler, out-of-slot count 0, zero padding. It covers
+// bits [20·N, 8·size) of the encoding, which start on a nibble boundary.
+type emptyTail struct {
+	from, to int             // byte range of enc the tail touches
+	mask     [candBytes]byte // tail bits within each byte of the range
+	val      [candBytes]byte // their encoded empty value
+}
+
+// newEmptyTail derives the empty tail from the reference encoder, so the
+// masked overwrite is byte-identical to re-encoding with a cleared tail.
+func (m *Model) newEmptyTail() emptyTail {
+	s := State{Nodes: make([]NodeState, m.cfg.Nodes)}
+	for c := 0; c < m.cfg.Couplers; c++ {
+		s.Couplers[c] = CouplerState{BufferedKind: FrameNone}
+	}
+	enc := m.appendBinary(nil, &s)
+	bit := bitsPerNode * m.cfg.Nodes
+	t := emptyTail{from: bit >> 3, to: len(enc)}
+	for i := t.from; i < t.to; i++ {
+		t.mask[i] = 0xFF
+	}
+	if bit&7 != 0 {
+		t.mask[t.from] = 0x0F // the high nibble is the last node's
+	}
+	for i := t.from; i < t.to; i++ {
+		t.val[i] = enc[i] & t.mask[i]
+	}
+	return t
+}
+
+// put overwrites enc's tail bits with the empty tail.
+func (t *emptyTail) put(enc []byte) {
+	for i := t.from; i < t.to; i++ {
+		enc[i] = enc[i]&^t.mask[i] | t.val[i]
+	}
 }
 
 // fastForward chases the deterministic masked chain from the
 // all-{listen, cold_start} state cur until it exits the region —
 // returning the last in-region state, whose exit transition the checker
 // then explores normally — or, when the chain settles into an in-region
-// cycle, returns the cycle's minimal-encoding state. The cycle case uses
-// Brent's algorithm so only two extra state scratches are needed: both
-// outcomes are fixed points of the procedure, which makes Canonicalize
-// idempotent. cur must be one of e.s/e.next; the returned pointer is one
-// of the Expander's four state scratches.
+// cycle, returns the cycle's minimal-encoding state. Both outcomes are
+// fixed points of the procedure, which makes Canonicalize idempotent.
+// Only cur's node records are read or written (the tail is rewritten by
+// the caller). cur must be one of e.s/e.next; the returned pointer is
+// one of the Expander's four state scratches.
+//
+// Most of a silent chain is plain steps: nobody sends, so listeners
+// count their timeouts down and cold starters advance their slots, and
+// nothing else moves (silentStretch). The walk jumps each such stretch
+// in one closed-form update, then takes the step that ends it one slot
+// at a time. The jumped states are all in-region, so exit detection is
+// exact, and Brent's cycle detection runs on the jumped orbit — a
+// subsequence of the stepwise one, so a cycle it finds is the chain's
+// cycle. The cycle's minimum is then found by single-stepping the cycle
+// back to its start, because a jump would skip candidates.
 func (e *Expander) fastForward(cur *State) *State {
 	m := e.m
 	spare := &e.next
@@ -147,27 +203,31 @@ func (e *Expander) fastForward(cur *State) *State {
 	growNodes(spare, n)
 	growNodes(&e.ffTort, n)
 	growNodes(&e.ffMin, n)
-	clearTail(spare, e.nc)
-	clearTail(&e.ffTort, e.nc)
-	clearTail(&e.ffMin, e.nc)
 
-	// Brent's cycle detection over f = stepSilentChain: the tortoise
-	// holds a checkpoint at the last power of two, the chain itself is
-	// the hare. An exit at any point wins immediately.
+	// Brent's cycle detection over the jumped chain: the tortoise holds
+	// a checkpoint at the last power of two, the chain itself is the
+	// hare. An exit at any point wins immediately. A jump is clamped at
+	// ffCap, so a truncated walk stops on the state the stepwise walk
+	// would have stopped on.
 	tort := &e.ffTort
 	copy(tort.Nodes, cur.Nodes)
 	lam, power := 0, 1
-	for steps := 0; ; steps++ {
+	for steps := 0; ; {
+		if k := min(m.silentStretch(cur.Nodes), ffCap-steps); k > 0 {
+			m.jumpSilent(cur.Nodes, k)
+			steps += k
+		}
 		if steps >= ffCap {
 			return cur
 		}
 		if !m.stepSilentChain(cur, spare) {
 			return cur // chain exits the region: keep the last state inside
 		}
+		steps++
 		cur, spare = spare, cur
 		lam++
 		if sameNodes(cur, tort) {
-			break // in a cycle of length lam
+			break // cur lies on the chain's cycle
 		}
 		if lam == power {
 			copy(tort.Nodes, cur.Nodes)
@@ -176,23 +236,80 @@ func (e *Expander) fastForward(cur *State) *State {
 		}
 	}
 
-	// Walk the cycle once and keep its minimal encoding — the one
-	// representative every chain feeding this cycle agrees on.
-	min := &e.ffMin
-	copy(min.Nodes, cur.Nodes)
-	e.ffBuf = m.appendBinary(e.ffBuf[:0], min)
-	for i := 1; i < lam; i++ {
-		if !m.stepSilentChain(cur, spare) {
-			return cur // unreachable: a detected cycle stays in-region
-		}
+	// Walk the cycle once, slot by slot, and keep its minimal encoding —
+	// the one representative every chain feeding this cycle agrees on.
+	// The tails are equal, so the minimal encoding is the minimal
+	// sequence of node words. A detected cycle stays in-region, and it
+	// is at most ffCap steps long, or the walk above could not have
+	// closed it.
+	best := &e.ffMin
+	copy(best.Nodes, cur.Nodes)
+	for i := 0; i < ffCap; i++ {
+		m.stepSilentChain(cur, spare)
 		cur, spare = spare, cur
-		e.canonBuf = m.appendBinary(e.canonBuf[:0], cur)
-		if bytes.Compare(e.canonBuf, e.ffBuf) < 0 {
-			copy(min.Nodes, cur.Nodes)
-			e.ffBuf = append(e.ffBuf[:0], e.canonBuf...)
+		if sameNodes(cur, tort) {
+			return best
+		}
+		if lessNodes(cur.Nodes, best.Nodes) {
+			copy(best.Nodes, cur.Nodes)
 		}
 	}
-	return min
+	panic("model: fast-forward cycle did not return to its start")
+}
+
+// silentStretch returns how many plain steps the silent chain takes
+// from nodes: steps in which no node sends, no listener times out and
+// no cold starter reaches its own slot, so each listener's Timeout
+// drops by one, each cold starter's Slot advances by one, and nothing
+// else changes (counters are judged null on a silent bus, and BigBang
+// and the phases hold). A listener with timeout t has t plain steps
+// left; a cold starter d slots short of its own has d−1. The result is
+// 0 when some cold starter holds its own slot — its frame is on the bus.
+func (m *Model) silentStretch(nodes []NodeState) int {
+	k := ffCap
+	for i := range nodes {
+		nd := &nodes[i]
+		if nd.Phase == PhaseListen {
+			k = min(k, int(nd.Timeout))
+			continue
+		}
+		own := uint8(i + 1)
+		if nd.Slot == own {
+			return 0
+		}
+		k = min(k, m.slotsUntil(nd.Slot, own)-1)
+	}
+	return k
+}
+
+// slotsUntil is how many nextSlot steps take slot s to own (s != own).
+// Slots outside 1..N wrap to 1 on their first step.
+func (m *Model) slotsUntil(s, own uint8) int {
+	if int(s) > m.cfg.Nodes {
+		return int(own)
+	}
+	if own > s {
+		return int(own - s)
+	}
+	return int(own) + m.cfg.Nodes - int(s)
+}
+
+// jumpSilent applies k ≥ 1 plain steps (see silentStretch) to nodes in
+// one update.
+func (m *Model) jumpSilent(nodes []NodeState, k int) {
+	n := m.cfg.Nodes
+	for i := range nodes {
+		nd := &nodes[i]
+		if nd.Phase == PhaseListen {
+			nd.Timeout -= uint8(k)
+			continue
+		}
+		s := int(nd.Slot)
+		if s > n {
+			s = 0 // nextSlot wraps an out-of-range slot to 1, as it does 0
+		}
+		nd.Slot = uint8((s-1+k)%n + 1)
+	}
 }
 
 // growNodes ensures s.Nodes holds n records.
@@ -203,9 +320,8 @@ func growNodes(s *State, n int) {
 	s.Nodes = s.Nodes[:n]
 }
 
-// sameNodes reports whether two states agree on their node records; the
-// fast-forward scratches keep their tails identically empty, so this is
-// full state equality there.
+// sameNodes reports whether two states agree on their node records —
+// full state equality on the fast-forward chain, whose tails are dead.
 func sameNodes(a, b *State) bool {
 	for i := range a.Nodes {
 		if a.Nodes[i] != b.Nodes[i] {
@@ -215,25 +331,25 @@ func sameNodes(a, b *State) bool {
 	return true
 }
 
-// clearTail resets the dead coupler/out-of-slot tail to its empty value:
-// FrameNone for the model's nc couplers (the decoded form of the encoded
-// empty tail), zero for the padding entries past them.
-func clearTail(s *State, nc int) {
-	for c := 0; c < nc; c++ {
-		s.Couplers[c] = CouplerState{BufferedKind: FrameNone}
+// lessNodes reports whether a's node records pack before b's: the
+// encoding is the node words back to back, MSB-first, so comparing word
+// by word is comparing the encodings' node bits.
+func lessNodes(a, b []NodeState) bool {
+	for i := range a {
+		if wa, wb := nodeWord(&a[i]), nodeWord(&b[i]); wa != wb {
+			return wa < wb
+		}
 	}
-	for c := nc; c < MaxCouplers; c++ {
-		s.Couplers[c] = CouplerState{}
-	}
-	s.OutOfSlotUsed = 0
+	return false
 }
 
 // stepSilentChain advances an all-{listen, cold_start} state by one slot
-// under the fault-free assignment, writing the successor into dst with
-// the tail kept empty, and reports whether the successor is still inside
-// the all-{listen, cold_start} region. By the fault-invisibility lemma
-// (see the package comment above and TestSilentRegionFaultInvisibility)
-// this is the unique masked successor of the whole fault menu.
+// under the fault-free assignment, writing the successor's node records
+// into dst (its tail is left as it was: the chain's tail is dead), and
+// reports whether the successor is still inside the all-{listen,
+// cold_start} region. By the fault-invisibility lemma (see the package
+// comment above and TestSilentRegionFaultInvisibility) this is the
+// unique masked successor of the whole fault menu.
 func (m *Model) stepSilentChain(src, dst *State) bool {
 	nominal, activity := m.nominalContent(src)
 	var ch [MaxCouplers]Content
@@ -243,18 +359,16 @@ func (m *Model) stepSilentChain(src, dst *State) bool {
 	inRegion := true
 	for i := range src.Nodes {
 		own := uint8(i + 1)
-		var n NodeState
+		d := &dst.Nodes[i]
 		if src.Nodes[i].Phase == PhaseListen {
-			n = m.stepListen(src.Nodes[i], own, ch)
+			*d = m.stepListen(src.Nodes[i], own, ch)
 		} else {
-			n = m.stepOperational(src.Nodes[i], own, ch, activity)
+			*d = m.stepOperational(src.Nodes[i], own, ch, activity)
 		}
-		dst.Nodes[i] = n
-		if n.Phase != PhaseListen && n.Phase != PhaseColdStart {
+		if d.Phase != PhaseListen && d.Phase != PhaseColdStart {
 			inRegion = false
 		}
 	}
-	clearTail(dst, m.cfg.Couplers)
 	return inRegion
 }
 

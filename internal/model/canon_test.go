@@ -1,6 +1,9 @@
 package model
 
 import (
+	"bytes"
+	"slices"
+	"sync"
 	"testing"
 
 	"ttastar/internal/guardian"
@@ -299,5 +302,273 @@ func TestReducedFaSignature(t *testing.T) {
 	if reducedFaSignature([MaxCouplers]Content{cs, cs}, 2, true) ==
 		reducedFaSignature([MaxCouplers]Content{none, cs}, 2, true) {
 		t.Error("distinct channel outcomes identified")
+	}
+}
+
+// stepwiseCanonicalize is the reference canonicalizer the packed one is
+// checked against: decode, collapse freeze to init, walk the silent
+// chain one slot at a time (Brent's cycle detection, then the cycle's
+// minimal encoding), clear the tail and re-encode with the bit writer.
+func stepwiseCanonicalize(m *Model, enc []byte) []byte {
+	s := m.DecodeBinary(mc.State(enc))
+	allLC := true
+	for i := range s.Nodes {
+		switch s.Nodes[i].Phase {
+		case PhaseFreeze:
+			s.Nodes[i] = NodeState{Phase: PhaseInit}
+			allLC = false
+		case PhaseListen, PhaseColdStart:
+		default:
+			allLC = false
+		}
+	}
+	if allLC {
+		s.Nodes = stepwiseFastForward(m, s.Nodes)
+	}
+	return encodeEmptyTail(m, s.Nodes)
+}
+
+// encodeEmptyTail packs nodes with the empty coupler/out-of-slot tail.
+func encodeEmptyTail(m *Model, nodes []NodeState) []byte {
+	s := State{Nodes: nodes}
+	for c := 0; c < m.Config().Couplers; c++ {
+		s.Couplers[c] = CouplerState{BufferedKind: FrameNone}
+	}
+	return m.appendBinary(nil, &s)
+}
+
+// stepwiseFastForward is the reference fast-forward: one stepSilentChain
+// per slot, ffCap steps at most, Brent's detection on the unjumped chain.
+func stepwiseFastForward(m *Model, nodes []NodeState) []NodeState {
+	cur := &State{Nodes: slices.Clone(nodes)}
+	next := &State{Nodes: make([]NodeState, len(nodes))}
+	tort := slices.Clone(nodes)
+	lam, power := 0, 1
+	for steps := 0; ; steps++ {
+		if steps >= ffCap {
+			return cur.Nodes
+		}
+		if !m.stepSilentChain(cur, next) {
+			return cur.Nodes
+		}
+		cur, next = next, cur
+		lam++
+		if slices.Equal(cur.Nodes, tort) {
+			break
+		}
+		if lam == power {
+			copy(tort, cur.Nodes)
+			power *= 2
+			lam = 0
+		}
+	}
+	best := slices.Clone(cur.Nodes)
+	bestEnc := encodeEmptyTail(m, best)
+	for i := 1; i < lam; i++ {
+		if !m.stepSilentChain(cur, next) {
+			panic("stepwise fast-forward: a detected cycle left the region")
+		}
+		cur, next = next, cur
+		if enc := encodeEmptyTail(m, cur.Nodes); bytes.Compare(enc, bestEnc) < 0 {
+			best, bestEnc = slices.Clone(cur.Nodes), enc
+		}
+	}
+	return best
+}
+
+// stepwiseConfigs are the reducible configurations the differential
+// checks sweep: 3–5 nodes, 2 and 3 couplers, every reducible authority
+// and the model ablations that change the silent chain.
+var stepwiseConfigs = []Config{
+	{Authority: guardian.AuthoritySmallShift, Nodes: 3},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 5},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 3, Couplers: 3},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4, Couplers: 3},
+	{Authority: guardian.AuthorityPassive, Nodes: 4},
+	{Authority: guardian.AuthorityTimeWindows, Nodes: 4},
+	{Authority: guardian.AuthorityTimeWindows, Nodes: 5},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4, DisableBigBang: true},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 5, DisableBigBang: true},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4, DataSlots: []int{2, 4}},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 5, DataSlots: []int{1}},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4, AllowInitFreeze: true},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 4, Couplers: 3,
+		CouplerFaults: []FaultSet{FaultSetSilence, FaultSetAll, FaultSetBadFrame}},
+}
+
+// quotientSuccessors walks the reachable quotient of m breadth-first and
+// calls visit on every raw successor (and the raw initial states) before
+// it is canonicalized; visit returns the successor's canonical form.
+func quotientSuccessors(m *Model, visit func(raw []byte) []byte) {
+	e := m.NewReducedExpander().(*Expander)
+	seen := make(map[string]bool)
+	var queue [][]byte
+	admit := func(raw []byte) {
+		if c := visit(raw); !seen[string(c)] {
+			seen[string(c)] = true
+			queue = append(queue, c)
+		}
+	}
+	for _, s := range m.Initial() {
+		admit([]byte(s))
+	}
+	for len(queue) > 0 {
+		s := queue[0]
+		queue = queue[1:]
+		for _, raw := range e.Successors(s) {
+			admit(slices.Clone(raw))
+		}
+	}
+}
+
+// TestCanonicalizeMatchesStepwise: on every raw successor of the
+// reachable quotient, the packed canonicalizer writes exactly the bytes
+// of the stepwise reference.
+func TestCanonicalizeMatchesStepwise(t *testing.T) {
+	for _, cfg := range stepwiseConfigs {
+		if testing.Short() && cfg.Nodes > 4 {
+			continue
+		}
+		m := mustModel(t, cfg)
+		if !m.Reducible() {
+			t.Fatalf("%+v: not reducible", cfg)
+		}
+		e := m.NewReducedExpander().(*Expander)
+		nodeBytes := bitsPerNode * m.Config().Nodes / 8
+		rewritten := 0
+		quotientSuccessors(m, func(raw []byte) []byte {
+			want := stepwiseCanonicalize(m, raw)
+			got := slices.Clone(raw)
+			e.Canonicalize(got)
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%+v: Canonicalize(%x) = %x, stepwise reference %x\nstate %v",
+					cfg, raw, got, want, m.Decode(mc.State(raw)))
+			}
+			if !bytes.Equal(raw[:nodeBytes], got[:nodeBytes]) {
+				rewritten++
+			}
+			return got
+		})
+		if rewritten == 0 {
+			t.Fatalf("%+v: no successor had its node records rewritten", cfg)
+		}
+	}
+}
+
+// fuzzConfigs are the models FuzzCanonicalize picks from: 2–7 nodes and
+// the configurations of the differential test.
+var fuzzConfigs = append([]Config{
+	{Authority: guardian.AuthoritySmallShift, Nodes: 2},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 6},
+	{Authority: guardian.AuthoritySmallShift, Nodes: 7},
+	{Authority: guardian.AuthorityTimeWindows, Nodes: 7, Couplers: 3},
+}, stepwiseConfigs...)
+
+// inRangeState reads a packed state of m out of raw (zero-extended or
+// truncated to the encoding width). Every field is kept within its
+// packed width; phase nibbles outside the modeled phases are folded onto
+// listen and cold_start, so the fuzzer reaches the silent region often.
+func inRangeState(m *Model, raw []byte) []byte {
+	enc := make([]byte, binarySize(m.Config().Nodes, m.Config().Couplers))
+	copy(enc, raw)
+	s := m.DecodeBinary(mc.State(enc))
+	for i := range s.Nodes {
+		if p := s.Nodes[i].Phase; p < PhaseFreeze || p > PhaseDownload {
+			s.Nodes[i].Phase = PhaseListen + p%2
+		}
+	}
+	return m.appendBinary(nil, &s)
+}
+
+// FuzzCanonicalize: on any in-range packed state of any fuzzed model the
+// packed canonicalizer matches the stepwise reference, is idempotent and
+// allocates nothing.
+func FuzzCanonicalize(f *testing.F) {
+	// Seeds: a spread of raw successors of the small reachable quotients.
+	for ci, cfg := range fuzzConfigs {
+		if cfg.Nodes > 4 {
+			continue
+		}
+		m, err := New(cfg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		n := 0
+		quotientSuccessors(m, func(raw []byte) []byte {
+			if n%97 == 0 && n < 97*8 {
+				f.Add(uint8(ci), slices.Clone(raw))
+			}
+			n++
+			return []byte(m.Canonicalize(mc.State(raw)))
+		})
+	}
+	models := make([]*Expander, len(fuzzConfigs))
+	f.Fuzz(func(t *testing.T, sel uint8, raw []byte) {
+		ci := int(sel) % len(fuzzConfigs)
+		if models[ci] == nil {
+			m, err := New(fuzzConfigs[ci])
+			if err != nil {
+				t.Fatal(err)
+			}
+			models[ci] = m.NewReducedExpander().(*Expander)
+		}
+		e := models[ci]
+		m := e.m
+		in := inRangeState(m, raw)
+		want := stepwiseCanonicalize(m, in)
+		got := slices.Clone(in)
+		e.Canonicalize(got)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%+v: Canonicalize(%x) = %x, stepwise reference %x\nstate %v",
+				fuzzConfigs[ci], in, got, want, m.Decode(mc.State(in)))
+		}
+		again := slices.Clone(got)
+		e.Canonicalize(again)
+		if !bytes.Equal(again, got) {
+			t.Fatalf("%+v: not idempotent on %x: %x then %x", fuzzConfigs[ci], in, got, again)
+		}
+		buf := make([]byte, len(in))
+		if allocs := testing.AllocsPerRun(2, func() {
+			copy(buf, in)
+			e.Canonicalize(buf)
+		}); allocs != 0 {
+			t.Fatalf("%+v: Canonicalize(%x) allocates: %.1f allocs/op", fuzzConfigs[ci], in, allocs)
+		}
+	})
+}
+
+// canonCorpus is BenchmarkCanonicalize's fixed input: every 8th raw
+// successor, in BFS order, of the reachable 5-node small-shifting
+// quotient, built once per test binary.
+var canonCorpus = sync.OnceValues(func() (*Model, [][]byte) {
+	m, err := New(Config{Authority: guardian.AuthoritySmallShift, Nodes: 5})
+	if err != nil {
+		panic(err)
+	}
+	var corpus [][]byte
+	n := 0
+	quotientSuccessors(m, func(raw []byte) []byte {
+		if n%8 == 0 {
+			corpus = append(corpus, slices.Clone(raw))
+		}
+		n++
+		return []byte(m.Canonicalize(mc.State(raw)))
+	})
+	return m, corpus
+})
+
+// BenchmarkCanonicalize times one in-place Canonicalize per op over the
+// raw 5-node successor corpus — the canonicalize layer on its own, next
+// to the end-to-end figures of the repository benchmark.
+func BenchmarkCanonicalize(b *testing.B) {
+	m, corpus := canonCorpus()
+	e := m.NewReducedExpander().(*Expander)
+	buf := make([]byte, len(corpus[0]))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(buf, corpus[i%len(corpus)])
+		e.Canonicalize(buf)
 	}
 }

@@ -128,24 +128,17 @@ func (m *Model) DecodeBinary(enc mc.State) State {
 // decodeInto is the scratch-reusing form of DecodeBinary: it unpacks enc
 // into s, reusing s.Nodes when it has the capacity.
 func (m *Model) decodeInto(enc []byte, s *State) {
-	if len(enc) != binarySize(m.cfg.Nodes, m.cfg.Couplers) {
-		panic(fmt.Sprintf("model: binary state is %d bytes, want %d", len(enc), binarySize(m.cfg.Nodes, m.cfg.Couplers)))
-	}
-	r := bitReader{buf: enc}
+	m.checkBinarySize(enc)
 	if cap(s.Nodes) < m.cfg.Nodes {
 		s.Nodes = make([]NodeState, m.cfg.Nodes)
 	}
 	s.Nodes = s.Nodes[:m.cfg.Nodes]
 	for i := range s.Nodes {
-		s.Nodes[i] = NodeState{
-			Phase:   Phase(r.get(bitsPhase)),
-			BigBang: r.get(bitsBigBang) == 1,
-			Slot:    uint8(r.get(bitsSlot)),
-			Agreed:  uint8(r.get(bitsAgreed)),
-			Failed:  uint8(r.get(bitsFailed)),
-			Timeout: uint8(r.get(bitsTimeout)),
-		}
+		s.Nodes[i] = nodeFromWord(nodeBits(enc, i))
 	}
+	bit := bitsPerNode * m.cfg.Nodes
+	r := bitReader{buf: enc[bit>>3:]}
+	r.get(uint(bit & 7)) // an odd node count ends the records mid-byte
 	for c := 0; c < m.cfg.Couplers; c++ {
 		s.Couplers[c] = CouplerState{
 			BufferedKind: FrameKind(r.get(bitsKind)),
@@ -156,6 +149,14 @@ func (m *Model) decodeInto(enc []byte, s *State) {
 		s.Couplers[c] = CouplerState{}
 	}
 	s.OutOfSlotUsed = uint8(r.get(bitsOOS))
+}
+
+// checkBinarySize panics unless enc is exactly the model's encoding
+// width.
+func (m *Model) checkBinarySize(enc []byte) {
+	if len(enc) != binarySize(m.cfg.Nodes, m.cfg.Couplers) {
+		panic(fmt.Sprintf("model: binary state is %d bytes, want %d", len(enc), binarySize(m.cfg.Nodes, m.cfg.Couplers)))
+	}
 }
 
 // phaseBits reads node i's phase field straight out of a packed encoding
@@ -169,4 +170,42 @@ func phaseBits(enc []byte, i int) uint8 {
 		return b >> 4
 	}
 	return b & 0x0F
+}
+
+// nodeBits reads node i's whole 20-bit record straight out of a packed
+// encoding. A record starts on a byte boundary (even i) or halfway
+// into a byte (odd i) and spans three bytes either way.
+func nodeBits(enc []byte, i int) uint32 {
+	o := bitsPerNode * i >> 3
+	if i&1 == 0 {
+		return uint32(enc[o])<<12 | uint32(enc[o+1])<<4 | uint32(enc[o+2])>>4
+	}
+	return uint32(enc[o]&0x0F)<<16 | uint32(enc[o+1])<<8 | uint32(enc[o+2])
+}
+
+// putNodeBits overwrites node i's 20-bit record in a packed encoding
+// with w, leaving the neighbouring nibble of a shared byte untouched.
+func putNodeBits(enc []byte, i int, w uint32) {
+	o := bitsPerNode * i >> 3
+	if i&1 == 0 {
+		enc[o] = byte(w >> 12)
+		enc[o+1] = byte(w >> 4)
+		enc[o+2] = enc[o+2]&0x0F | byte(w<<4)
+		return
+	}
+	enc[o] = enc[o]&0xF0 | byte(w>>16)
+	enc[o+1] = byte(w >> 8)
+	enc[o+2] = byte(w)
+}
+
+// nodeFromWord unpacks a 20-bit node record — the inverse of nodeWord.
+func nodeFromWord(w uint32) NodeState {
+	return NodeState{
+		Phase:   Phase(w >> (bitsPerNode - bitsPhase)),
+		BigBang: w>>(bitsSlot+bitsAgreed+bitsFailed+bitsTimeout)&1 == 1,
+		Slot:    uint8(w >> (bitsAgreed + bitsFailed + bitsTimeout) & (1<<bitsSlot - 1)),
+		Agreed:  uint8(w >> (bitsFailed + bitsTimeout) & (1<<bitsAgreed - 1)),
+		Failed:  uint8(w >> bitsTimeout & (1<<bitsFailed - 1)),
+		Timeout: uint8(w & (1<<bitsTimeout - 1)),
+	}
 }

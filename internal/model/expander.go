@@ -65,14 +65,11 @@ type Expander struct {
 
 	// reduce switches the fault-assignment repeat-skip to the commutation
 	// filter (reducedFaSignature); set only by NewReducedExpander, and only
-	// when the configuration is Reducible. canonBuf/ffBuf are
-	// Canonicalize's re-encode scratch; ffTort/ffMin are fastForward's
+	// when the configuration is Reducible. ffTort/ffMin are fastForward's
 	// cycle-detection state scratches (grown on first use).
-	reduce   bool
-	canonBuf []byte
-	ffBuf    []byte
-	ffTort   State
-	ffMin    State
+	reduce bool
+	ffTort State
+	ffMin  State
 
 	// Per-node choice lists, stored flat: node i's choices are
 	// choiceBuf[choiceEnd[i-1]:choiceEnd[i]]. choiceWords holds each

@@ -314,6 +314,9 @@ type Model struct {
 	// Successors/Explain wrappers; the checker bypasses it and holds one
 	// Expander per worker via NewExpander.
 	expanders sync.Pool
+	// tail is the packed empty coupler/out-of-slot tail the
+	// canonicalizer writes over the dead tail.
+	tail emptyTail
 }
 
 var _ mc.ExpanderModel = (*Model)(nil)
@@ -344,6 +347,7 @@ func New(cfg Config) (*Model, error) {
 		}
 	}
 	m := &Model{cfg: cfg}
+	m.tail = m.newEmptyTail()
 	m.expanders.New = func() any { return m.newExpander() }
 	return m, nil
 }

@@ -241,23 +241,21 @@ func (m *Model) stepListen(n NodeState, own uint8, ch [MaxCouplers]Content) Node
 		}
 	}
 
-	out := n
-	out.BigBang = n.BigBang || hasCS
-
-	// listen_timeout: reset on cold-start and "other" frames, else count
-	// down (§4.3).
-	if hasCS || anyKind(ch, FrameOther) {
-		out.Timeout = own + uint8(m.cfg.Nodes)
-	} else if out.Timeout > 0 {
-		out.Timeout--
-	}
-
 	// A cold-start frame not used for integration keeps the node in listen
 	// even if the timeout just reached zero.
 	if !hasCS && n.Timeout == 0 {
 		return NodeState{Phase: PhaseColdStart, Slot: own, Agreed: 1, Failed: 0}
 	}
-	return out
+
+	// listen_timeout: reset on cold-start and "other" frames, else count
+	// down (§4.3).
+	if hasCS || anyKind(ch, FrameOther) {
+		n.Timeout = own + uint8(m.cfg.Nodes)
+	} else if n.Timeout > 0 {
+		n.Timeout--
+	}
+	n.BigBang = n.BigBang || hasCS
+	return n
 }
 
 // judge classifies this slot for a receiver expecting slot n.Slot, per the
@@ -320,12 +318,11 @@ func (m *Model) stepOperational(n NodeState, own uint8, ch [MaxCouplers]Content,
 		}
 	}
 
-	next := n
-	next.Slot = m.nextSlot(n.Slot)
-	next.Agreed, next.Failed = agreed, failed
+	n.Slot = m.nextSlot(n.Slot)
+	n.Agreed, n.Failed = agreed, failed
 
-	if next.Slot != own {
-		return next
+	if n.Slot != own {
+		return n
 	}
 
 	// The node's own slot comes up next: end-of-round decisions.
@@ -335,10 +332,10 @@ func (m *Model) stepOperational(n NodeState, own uint8, ch [MaxCouplers]Content,
 		switch {
 		case agreed <= 1 && failed == 0:
 			// Nobody answered: stay in cold start (and send again).
-			next.Agreed, next.Failed = 1, 0
+			n.Agreed, n.Failed = 1, 0
 		case pass:
-			next.Phase = PhaseActive
-			next.Agreed, next.Failed = 1, 0
+			n.Phase = PhaseActive
+			n.Agreed, n.Failed = 1, 0
 		default:
 			return m.enterListen(own)
 		}
@@ -347,20 +344,20 @@ func (m *Model) stepOperational(n NodeState, own uint8, ch [MaxCouplers]Content,
 		if !pass {
 			return NodeState{Phase: PhaseFreeze} // clique avoidance error
 		}
-		next.Agreed, next.Failed = 1, 0
+		n.Agreed, n.Failed = 1, 0
 
 	case PhasePassive:
 		switch {
 		case failed > 0 && !pass:
 			return NodeState{Phase: PhaseFreeze} // clique avoidance error
 		case pass && agreed >= 2:
-			next.Phase = PhaseActive
-			next.Agreed, next.Failed = 1, 0
+			n.Phase = PhaseActive
+			n.Agreed, n.Failed = 1, 0
 		default:
-			next.Agreed, next.Failed = 1, 0
+			n.Agreed, n.Failed = 1, 0
 		}
 	}
-	return next
+	return n
 }
 
 func (m *Model) isDataSlot(slot int) bool {
