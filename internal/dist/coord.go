@@ -119,7 +119,7 @@ func (ck *Checker) DistCheck(m mc.Model, stInv mc.StateInvariantBytes,
 	trInv mc.TransitionInvariantBytes, opts mc.Options) (mc.Result, error) {
 	var res mc.Result
 	switch {
-	case opts.Resume != nil || opts.ResumePath != "":
+	case opts.ResumePath != "":
 		return res, fmt.Errorf("dist: -resume is not supported with -dist-workers (recovery is built in)")
 	case opts.CheckpointPath != "":
 		return res, fmt.Errorf("dist: -checkpoint is not supported with -dist-workers (workers snapshot every level barrier)")

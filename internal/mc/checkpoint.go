@@ -1,48 +1,44 @@
 package mc
 
-// Checkpoint codec for the BFS engine.
+// Checkpoint codecs.
 //
-// A checkpoint is taken at a level boundary — the only point where the
-// whole search state is a frontier, a visited set, and two counters — so
-// resuming replays the remaining levels exactly as the uninterrupted run
-// would have executed them. Together with the min-claim-key determinism
-// of the parallel engine this makes resumed results byte-identical to
-// uninterrupted ones for any worker count.
+// Two formats share one file envelope: magic, uvarint version, body,
+// and an FNV-64a trailer over everything before it. Files are written
+// to a temp file in the target directory and renamed into place, so a
+// crash mid-write can never leave a truncated file where a valid one
+// was. Each reader accepts exactly its own version and never modifies
+// the file: any other version, a checksum mismatch or an out-of-range
+// field fails with ErrBadCheckpoint and leaves the file for inspection.
 //
-// Format version 2 stores one record per visited state: encoding, parent
-// encoding, and a root flag. The claim key and depth that version 1
-// carried are dead weight under the engine's globally monotone claim
-// keys — a restored entry only ever needs to order *before* the resumed
-// levels, which any key does once the resumed base starts past it — so
-// v2 drops them. Version 3 adds one search-flags uvarint after the
-// Transitions counter (bit 0: the search ran reduced — its states are
-// canonical representatives, so it must be resumed reduced). Version 4
-// adds the model fingerprint after the flags word: a digest of the model
-// configuration the snapshot's encodings were packed under, so a resume
-// against a differently-parameterized model (other node or coupler
-// count, authority, option bits) fails loudly instead of silently
-// decoding garbage. Versions 1–3 still load (their missing fields are
-// discarded or defaulted: a pre-reduction checkpoint is by construction
-// non-reduced, and a zero fingerprint makes the identity check
-// best-effort — it is enforced only when both sides carry one), so
-// checkpoints taken by older builds resume cleanly.
-//
-// The on-disk format is versioned, length-guarded and closed by an
-// FNV-64a checksum over the payload; files are written to a temp file in
-// the target directory and renamed into place, so a crash mid-write can
-// never leave a truncated checkpoint where a valid one was.
+//   - Version 5 is the engine snapshot (writeSnapshot, readSnapshot),
+//     written in both seal modes. It is taken at a level boundary — the
+//     only point where the whole search state is the visited set, the
+//     frontier and a few counters — and stores the sealed arenas
+//     wholesale plus every live entry with its real claim key and
+//     parent ref. Resuming therefore replays the remaining levels
+//     exactly as the uninterrupted run would have, and together with
+//     the min-claim-key determinism of the parallel engine the resumed
+//     result is byte-identical to an uninterrupted one for any worker
+//     count. Checkpoints are deleted on every definite verdict, so no
+//     older engine format needs reading.
+//   - Version 4 is the distributed worker's per-level delta
+//     (ShardStore.WriteDelta, ReadCheckpoint): one record per state
+//     with its parent as an encoding, because the parent may live on
+//     another worker.
 
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"time"
 
 	"ttastar/internal/retry"
@@ -50,24 +46,12 @@ import (
 
 const (
 	checkpointMagic = "TTAMCCP\x00"
-	// checkpointVersion is the classic per-state format WriteCheckpoint
-	// emits (and the distributed layer's delta files reuse);
-	// checkpointLegacyVersion is the oldest format the reader still
-	// accepts. checkpointVersionSealed is the two-tier engine snapshot
-	// (version 5): the sealed arenas are serialized wholesale and the
-	// live tier — exactly the frontier at a level boundary — keeps its
-	// real claim keys and parent refs, so a resumed search is
-	// byte-identical to the uninterrupted one, resident footprint
-	// included. The engine writes v5 once anything is sealed and falls
-	// back to v4 for unsealed searches (Options.NoSeal, or an interrupt
-	// before the first level boundary).
-	checkpointVersion       = 4
-	checkpointVersionSealed = 5
-	checkpointLegacyVersion = 1
+	deltaVersion    = 4
+	snapshotVersion = 5
 )
 
-// checkpointFlagReduced marks a snapshot of a reduced (quotient) search
-// in the version-3 flags word.
+// checkpointFlagReduced marks a reduced (quotient) search in the flags
+// word of either format.
 const checkpointFlagReduced = 1 << 0
 
 // ErrCheckpointCorrupt reports a checkpoint file that failed validation:
@@ -87,119 +71,31 @@ var ErrBadCheckpoint = ErrCheckpointCorrupt
 // would decode as garbage.
 var ErrModelMismatch = errors.New("mc: checkpoint model mismatch")
 
-// Checkpoint is a resumable snapshot of a search at a level boundary.
+// Checkpoint is a parsed per-level delta file of a distributed worker
+// (ShardStore.WriteDelta): the states one level admitted on the
+// worker's shards, plus the worker's frontier after that level.
 type Checkpoint struct {
 	// Depth is the next BFS level to expand.
 	Depth int32
-	// ResultDepth and Transitions carry the Result counters accumulated
-	// by the levels already completed.
-	ResultDepth int
-	Transitions int
-	// Reduced records whether the snapshot belongs to a reduced search:
-	// its states are canonical representatives, meaningless to a
-	// non-reduced resume (and vice versa), so the engine refuses a
-	// mode-mismatched resume.
+	// Reduced records whether the delta belongs to a reduced search,
+	// whose states are canonical representatives.
 	Reduced bool
-	// Fingerprint is the digest of the model configuration the snapshot
-	// was taken under (FingerprintedModel); 0 when the model carries none
-	// or the file predates format v4. The engine refuses a resume whose
-	// model fingerprint differs — best-effort: enforced only when both
-	// sides are nonzero.
+	// Fingerprint is the digest of the model configuration the states
+	// were packed under (FingerprintedModel); 0 when the model carries
+	// none.
 	Fingerprint uint64
-	// Frontier is the next frontier in serial claim-key order.
+	// Frontier is the worker's frontier in claim-key order.
 	Frontier []State
-	// Visited is every admitted state with its trace-reconstruction
-	// record, in canonical (state-sorted) order.
+	// Visited is the level's admitted states with their trace parents,
+	// in claim-key order.
 	Visited []VisitedEntry
 }
 
-// VisitedEntry is one visited-set record in a checkpoint.
+// VisitedEntry is one visited-set record in a delta file.
 type VisitedEntry struct {
 	State     State
 	Parent    State
 	HasParent bool
-}
-
-// snapshot captures the engine state between levels as a Checkpoint. The
-// engine's slot refs are converted back to opaque States at this
-// boundary — a cold path. Entries are sorted by state encoding so
-// checkpoint bytes are canonical regardless of insertion order or worker
-// count.
-func snapshot(v *visitedSet, res Result, frontier []uint32, depth int32, fingerprint uint64) *Checkpoint {
-	cp := &Checkpoint{
-		Depth:       depth,
-		ResultDepth: res.Depth,
-		Transitions: res.TransitionsExplored,
-		Reduced:     res.Reduced,
-		Fingerprint: fingerprint,
-		Frontier:    make([]State, len(frontier)),
-		Visited:     make([]VisitedEntry, 0, v.count.Load()),
-	}
-	for i := range frontier {
-		cp.Frontier[i] = v.stateOf(frontier[i])
-	}
-	for si := range v.shards {
-		sh := &v.shards[si]
-		sh.mu.Lock()
-		for o := uint32(0); o < sh.ordCount; o++ {
-			ref := makeRef(uint32(si), o)
-			e := VisitedEntry{State: v.stateOf(ref)}
-			if p, ok := v.parentOf(ref); ok {
-				e.Parent = v.stateOf(p)
-				e.HasParent = true
-			}
-			cp.Visited = append(cp.Visited, e)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(cp.Visited, func(i, j int) bool { return cp.Visited[i].State < cp.Visited[j].State })
-	return cp
-}
-
-// restore loads a checkpoint into the visited set and returns the saved
-// frontier as engine refs. It runs in two passes: admit every state
-// (with key 0 — any resumed level's base orders past it), then resolve
-// parent encodings to slot refs by probing. The restored states are
-// charged against the current budget.
-func (v *visitedSet) restore(cp *Checkpoint) ([]uint32, error) {
-	if int64(len(cp.Visited)) > v.max {
-		return nil, fmt.Errorf("mc: checkpoint holds %d states, over the %d-state budget: %w",
-			len(cp.Visited), v.max, ErrStateLimit)
-	}
-	refs := make([]uint32, len(cp.Visited))
-	for i, e := range cp.Visited {
-		enc := []byte(e.State)
-		st, ref := v.claim(enc, hashBytes(enc), 0, 0, e.HasParent, 1, nil)
-		if st != claimNew {
-			return nil, fmt.Errorf("%w: duplicate visited state", ErrBadCheckpoint)
-		}
-		refs[i] = ref
-	}
-	// Every restored entry carries key 0, so the first level boundary
-	// cannot tell their levels apart: it seals them as one batch, in
-	// this (state-sorted, deterministic) order.
-	v.restoredAll = refs
-	for i, e := range cp.Visited {
-		if !e.HasParent {
-			continue
-		}
-		penc := []byte(e.Parent)
-		pref, ok := v.find(penc, hashBytes(penc))
-		if !ok {
-			return nil, fmt.Errorf("%w: parent state missing from visited set", ErrBadCheckpoint)
-		}
-		v.entryOf(refs[i]).parent = pref
-	}
-	frontier := make([]uint32, len(cp.Frontier))
-	for i, s := range cp.Frontier {
-		enc := []byte(s)
-		ref, ok := v.find(enc, hashBytes(enc))
-		if !ok {
-			return nil, fmt.Errorf("%w: frontier state missing from visited set", ErrBadCheckpoint)
-		}
-		frontier[i] = ref
-	}
-	return frontier, nil
 }
 
 // cpWriter serializes with uvarints and a sticky error.
@@ -220,14 +116,8 @@ func (w *cpWriter) uvarint(v uint64) {
 	w.raw(w.scratch[:n])
 }
 
-func (w *cpWriter) str(s State) {
-	w.uvarint(uint64(len(s)))
-	w.raw([]byte(s))
-}
-
-// bstr writes a length-prefixed byte string without the State round
-// trip — the streaming delta writer feeds store-log slices straight
-// through, so the hot path stays allocation-free.
+// bstr writes a length-prefixed byte string; writers feed visited-set
+// slices straight through, so the hot path stays allocation-free.
 func (w *cpWriter) bstr(b []byte) {
 	w.uvarint(uint64(len(b)))
 	w.raw(b)
@@ -247,7 +137,7 @@ func (w *cpWriter) sstr(s string) {
 	}
 }
 
-// checkpointWrapWriter is a test seam: when non-nil, WriteCheckpoint
+// checkpointWrapWriter is a test seam: when non-nil, writeCheckpointFile
 // routes every byte destined for the temp file through the returned
 // writer, letting crash-consistency tests inject mid-write failures at
 // arbitrary offsets without touching the filesystem layer.
@@ -262,55 +152,11 @@ const (
 	checkpointWriteBackoff  = 10 * time.Millisecond
 )
 
-// WriteCheckpointRetry writes cp to path like WriteCheckpoint, retrying
-// transient filesystem failures (EINTR, EAGAIN, ENOSPC, ...) with
-// bounded exponential backoff. It returns the number of retries
-// performed alongside the final error, so callers can surface "the
-// snapshot needed retries" or "the snapshot was ultimately dropped" in
-// their stats instead of losing it silently.
-func WriteCheckpointRetry(path string, cp *Checkpoint) (int, error) {
-	return retry.Do(checkpointWriteAttempts, checkpointWriteBackoff, nil, func() error {
-		return WriteCheckpoint(path, cp)
-	})
-}
-
-// WriteCheckpoint atomically writes cp to path: the payload goes to a
-// temp file in the same directory, is checksummed, and renamed over the
-// target only once complete.
-func WriteCheckpoint(path string, cp *Checkpoint) error {
-	return writeCheckpointFile(path, checkpointVersion, func(w *cpWriter) {
-		w.uvarint(uint64(uint32(cp.Depth)))
-		w.uvarint(uint64(cp.ResultDepth))
-		w.uvarint(uint64(cp.Transitions))
-		flags := uint64(0)
-		if cp.Reduced {
-			flags |= checkpointFlagReduced
-		}
-		w.uvarint(flags)
-		w.uvarint(cp.Fingerprint)
-		w.uvarint(uint64(len(cp.Frontier)))
-		for _, s := range cp.Frontier {
-			w.str(s)
-		}
-		w.uvarint(uint64(len(cp.Visited)))
-		for _, e := range cp.Visited {
-			w.str(e.State)
-			w.str(e.Parent)
-			flags := byte(0)
-			if e.HasParent {
-				flags = 1
-			}
-			w.raw([]byte{flags})
-		}
-	})
-}
-
 // writeCheckpointFile owns the checkpoint file envelope — temp file,
 // magic + version header, FNV-64a trailer, atomic rename — around a
-// caller-supplied body. Every checkpoint-format file (full engine
-// snapshots and the distributed layer's per-level shard deltas) goes
-// through here so the envelope, the test write-wrap seam and the
-// crash-consistency guarantees stay identical.
+// caller-supplied body. Both formats go through here so the envelope,
+// the test write-wrap seam and the crash-consistency guarantees stay
+// identical.
 func writeCheckpointFile(path string, version uint64, body func(w *cpWriter)) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), ".mc-checkpoint-*")
 	if err != nil {
@@ -373,126 +219,26 @@ func (r *cpReader) uvarint() uint64 {
 	return v
 }
 
-func (r *cpReader) str() State {
-	n := r.uvarint()
-	if r.err != nil {
-		return ""
+// bounded reads a uvarint that must not exceed max: header fields are
+// narrowed to the engine's integer types, and a wrapped value would
+// pass every later guard silently.
+func (r *cpReader) bounded(max uint64, what string) uint64 {
+	v := r.uvarint()
+	if r.err == nil && v > max {
+		r.err = fmt.Errorf("%w: %s %d out of range", ErrBadCheckpoint, what, v)
 	}
-	if n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: string length %d exceeds remaining payload", ErrBadCheckpoint, n)
-		return ""
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
-		return ""
-	}
-	return State(buf)
+	return v
 }
 
-func (r *cpReader) count() int {
-	n := r.uvarint()
-	// Every counted element occupies at least one payload byte.
-	if r.err == nil && n > uint64(r.r.Len()) {
-		r.err = fmt.Errorf("%w: element count %d exceeds remaining payload", ErrBadCheckpoint, n)
+func (r *cpReader) byte1() byte {
+	if r.err != nil {
 		return 0
 	}
-	return int(n)
-}
-
-// readCheckpointEnvelope loads a checkpoint-format file, validates the
-// envelope (magic, checksum, version range) and returns the format
-// version with a reader positioned at the body.
-func readCheckpointEnvelope(path string) (uint64, *cpReader, error) {
-	data, err := os.ReadFile(path)
+	b, err := r.r.ReadByte()
 	if err != nil {
-		return 0, nil, fmt.Errorf("mc: checkpoint: %w", err)
+		r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
 	}
-	if len(data) < len(checkpointMagic)+8 {
-		return 0, nil, fmt.Errorf("%w: file too short", ErrBadCheckpoint)
-	}
-	payload, trailer := data[:len(data)-8], data[len(data)-8:]
-	h := fnv.New64a()
-	h.Write(payload)
-	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
-	}
-	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
-	}
-	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
-	version := r.uvarint()
-	if r.err == nil && (version < checkpointLegacyVersion || version > checkpointVersionSealed) {
-		return 0, nil, fmt.Errorf("%w: unsupported version %d", ErrBadCheckpoint, version)
-	}
-	return version, r, r.err
-}
-
-// ReadCheckpoint loads and validates a checkpoint file. The version-5
-// sealed-tier format, the classic version-4 format and every legacy
-// format are accepted: version 3 lacks the model fingerprint (defaulted
-// to 0, which disables the identity check), version 2 additionally
-// lacks the search-flags word (defaulted to a non-reduced search) and
-// version 1 additionally carries a per-entry claim key and depth that
-// are parsed and discarded. A version-5 file is materialized into the
-// classic per-state Checkpoint form — losing the claim keys and the
-// compact representation, so a resume through this API behaves like a
-// v4 resume; the engine's own resume path (resolveResume) consumes v5
-// natively instead. A missing file surfaces as an error wrapping
-// os.ErrNotExist so callers can treat it as "start fresh".
-func ReadCheckpoint(path string) (*Checkpoint, error) {
-	version, r, err := readCheckpointEnvelope(path)
-	if err != nil {
-		return nil, err
-	}
-	if version == checkpointVersionSealed {
-		s5, err := parseSealedSnap(r)
-		if err != nil {
-			return nil, err
-		}
-		return s5.materialize()
-	}
-	return parseClassicCheckpoint(version, r)
-}
-
-// parseClassicCheckpoint parses a v1–v4 body.
-func parseClassicCheckpoint(version uint64, r *cpReader) (*Checkpoint, error) {
-	cp := &Checkpoint{
-		Depth:       int32(r.uvarint()),
-		ResultDepth: int(r.uvarint()),
-		Transitions: int(r.uvarint()),
-	}
-	if version >= 3 {
-		cp.Reduced = r.uvarint()&checkpointFlagReduced != 0
-	}
-	if version >= 4 {
-		cp.Fingerprint = r.uvarint()
-	}
-	cp.Frontier = make([]State, 0, r.count())
-	for i := cap(cp.Frontier); i > 0 && r.err == nil; i-- {
-		cp.Frontier = append(cp.Frontier, r.str())
-	}
-	cp.Visited = make([]VisitedEntry, 0, r.count())
-	for i := cap(cp.Visited); i > 0 && r.err == nil; i-- {
-		e := VisitedEntry{State: r.str(), Parent: r.str()}
-		if version == checkpointLegacyVersion {
-			r.uvarint() // claim key: superseded by monotone level bases
-			r.uvarint() // depth: implied by the resumed level structure
-		}
-		var flags [1]byte
-		if _, err := io.ReadFull(r.r, flags[:]); err != nil {
-			r.err = fmt.Errorf("%w: truncated", ErrBadCheckpoint)
-		}
-		e.HasParent = flags[0] != 0
-		cp.Visited = append(cp.Visited, e)
-	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.r.Len())
-	}
-	return cp, nil
+	return b
 }
 
 // bytes reads a length-prefixed byte blob with an allocation guard.
@@ -513,11 +259,98 @@ func (r *cpReader) bytes() []byte {
 	return buf
 }
 
-// sealedSnap is the parsed native form of a version-5 (sealed-tier)
-// checkpoint: the per-shard arenas wholesale, plus the live tier —
-// exactly the frontier, in frontier order, with real claim keys and
-// sealed parent refs — and the claim-key base the next level resumes
-// at.
+func (r *cpReader) str() State { return State(r.bytes()) }
+
+func (r *cpReader) count() int {
+	n := r.uvarint()
+	// Every counted element occupies at least one payload byte.
+	if r.err == nil && n > uint64(r.r.Len()) {
+		r.err = fmt.Errorf("%w: element count %d exceeds remaining payload", ErrBadCheckpoint, n)
+		return 0
+	}
+	return int(n)
+}
+
+// end reports the sticky error, or trailing bytes after a complete body.
+func (r *cpReader) end() error {
+	if r.err == nil && r.r.Len() != 0 {
+		r.err = fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.r.Len())
+	}
+	return r.err
+}
+
+// readCheckpointEnvelope loads a checkpoint-format file, validates the
+// envelope (magic, checksum, version) and returns a reader positioned
+// at the body.
+func readCheckpointEnvelope(path string, version uint64) (*cpReader, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("mc: checkpoint: %w", err)
+	}
+	if len(data) < len(checkpointMagic)+8 {
+		return nil, fmt.Errorf("%w: file too short", ErrBadCheckpoint)
+	}
+	payload, trailer := data[:len(data)-8], data[len(data)-8:]
+	h := fnv.New64a()
+	h.Write(payload)
+	if h.Sum64() != binary.BigEndian.Uint64(trailer) {
+		return nil, fmt.Errorf("%w: checksum mismatch", ErrBadCheckpoint)
+	}
+	if string(payload[:len(checkpointMagic)]) != checkpointMagic {
+		return nil, fmt.Errorf("%w: bad magic", ErrBadCheckpoint)
+	}
+	r := &cpReader{r: bytes.NewReader(payload[len(checkpointMagic):])}
+	if v := r.uvarint(); r.err == nil && v != version {
+		return nil, fmt.Errorf("%w: format version %d, want %d", ErrBadCheckpoint, v, version)
+	}
+	return r, r.err
+}
+
+// ReadCheckpoint loads and validates a distributed worker's delta file.
+// Any other format version, an engine snapshot included, fails with
+// ErrBadCheckpoint. A missing file surfaces as an error wrapping
+// os.ErrNotExist.
+func ReadCheckpoint(path string) (*Checkpoint, error) {
+	r, err := readCheckpointEnvelope(path, deltaVersion)
+	if err != nil {
+		return nil, err
+	}
+	cp := &Checkpoint{Depth: int32(r.bounded(math.MaxInt32, "depth"))}
+	// Result depth and transitions: a delta never carries a verdict.
+	r.bounded(0, "result depth")
+	r.bounded(0, "transition count")
+	cp.Reduced = r.uvarint()&checkpointFlagReduced != 0
+	cp.Fingerprint = r.uvarint()
+	cp.Frontier = make([]State, 0, r.count())
+	for i := cap(cp.Frontier); i > 0 && r.err == nil; i-- {
+		cp.Frontier = append(cp.Frontier, r.str())
+	}
+	cp.Visited = make([]VisitedEntry, 0, r.count())
+	for i := cap(cp.Visited); i > 0 && r.err == nil; i-- {
+		e := VisitedEntry{State: r.str(), Parent: r.str()}
+		switch r.byte1() {
+		case 0:
+			if e.Parent != "" {
+				r.err = fmt.Errorf("%w: root entry with parent bytes", ErrBadCheckpoint)
+			}
+		case 1:
+			e.HasParent = true
+		default:
+			r.err = fmt.Errorf("%w: bad entry flags", ErrBadCheckpoint)
+		}
+		cp.Visited = append(cp.Visited, e)
+	}
+	if err := r.end(); err != nil {
+		return nil, err
+	}
+	return cp, nil
+}
+
+// sealedSnap is a parsed version-5 engine snapshot: the header, the
+// per-shard sealed arenas, and the live tier. live holds every live
+// entry in claim-key order; its last frontier entries are the
+// frontier, since a level's claims carry keys above every earlier
+// level's.
 type sealedSnap struct {
 	depth       int32
 	resultDepth int
@@ -527,6 +360,7 @@ type sealedSnap struct {
 	nextBase    uint64
 	shards      [numShards]sealedShardSnap
 	live        []liveSnapEntry
+	frontier    int
 }
 
 type sealedShardSnap struct {
@@ -538,16 +372,45 @@ type sealedShardSnap struct {
 type liveSnapEntry struct {
 	enc []byte
 	key uint64
-	pw  uint64 // parent ref+1; 0 = root
+	pw  uint64 // parent ref+1 in the restored ordinal space; 0 = root
 }
 
-// writeSealedCheckpoint writes the engine's two-tier state as a
-// version-5 snapshot. Must be called at a level boundary right after a
-// seal, where the live tier is exactly the frontier and every live
-// parent is sealed.
-func writeSealedCheckpoint(path string, v *visitedSet, res Result,
-	frontier []uint32, depth int32, fingerprint, nextBase uint64) error {
-	return writeCheckpointFile(path, checkpointVersionSealed, func(w *cpWriter) {
+// writeSnapshot writes the engine's state at a level boundary as a
+// version-5 snapshot. restoreSealed re-claims the live entries in file
+// order after the sealed ones, so each live parent ref is renumbered
+// to the ordinal its target will get there; written in claim-key
+// order, the bytes are the same for any worker count.
+func writeSnapshot(path string, v *visitedSet, res Result, frontier []uint32,
+	depth int32, fingerprint, nextBase uint64) error {
+	live := frontier
+	var renumber [numShards][]uint32 // live position → restored ordinal
+	n := 0
+	for s := range v.shards {
+		sh := &v.shards[s]
+		renumber[s] = make([]uint32, sh.ordCount-sh.liveBase)
+		n += len(renumber[s])
+	}
+	if n != len(frontier) {
+		// Only a NoSeal search keeps finished levels live.
+		live = make([]uint32, 0, n)
+		for s := range v.shards {
+			sh := &v.shards[s]
+			for o := sh.liveBase; o < sh.ordCount; o++ {
+				live = append(live, makeRef(uint32(s), o))
+			}
+		}
+		slices.SortFunc(live, func(a, b uint32) int { return cmp.Compare(v.keyOf(a), v.keyOf(b)) })
+	}
+	var next [numShards]uint32
+	for s := range next {
+		next[s] = v.shards[s].liveBase
+	}
+	for _, ref := range live {
+		s, o := ref&(numShards-1), ref>>shardBits
+		renumber[s][o-v.shards[s].liveBase] = next[s]
+		next[s]++
+	}
+	return writeCheckpointFile(path, snapshotVersion, func(w *cpWriter) {
 		w.uvarint(uint64(uint32(depth)))
 		w.uvarint(uint64(res.Depth))
 		w.uvarint(uint64(res.TransitionsExplored))
@@ -568,37 +431,62 @@ func writeSealedCheckpoint(path string, v *visitedSet, res Result,
 			}
 			w.bstr(ss.blob)
 		}
-		w.uvarint(uint64(len(frontier)))
-		for _, ref := range frontier {
+		w.uvarint(uint64(len(live)))
+		for _, ref := range live {
 			w.bstr(v.bytesOf(ref))
 			w.uvarint(v.keyOf(ref))
-			w.uvarint(v.parentWordOf(ref))
+			pw := v.parentWordOf(ref)
+			if pw != 0 {
+				if psh, po, sealed := v.refShard(uint32(pw - 1)); !sealed {
+					ps := uint32(pw-1) & (numShards - 1)
+					pw = uint64(makeRef(ps, renumber[ps][po-psh.liveBase])) + 1
+				}
+			}
+			w.uvarint(pw)
 		}
+		w.uvarint(uint64(len(frontier)))
 	})
 }
 
-// writeSealedCheckpointRetry is writeSealedCheckpoint under the same
-// bounded transient-failure retry policy as WriteCheckpointRetry.
-func writeSealedCheckpointRetry(path string, v *visitedSet, res Result,
+// writeSnapshotRetry is writeSnapshot with transient filesystem
+// failures (EINTR, EAGAIN, ENOSPC, ...) retried under bounded
+// exponential backoff. It returns the number of retries performed
+// alongside the final error, so callers can surface "the snapshot
+// needed retries" or "the snapshot was ultimately dropped" in their
+// stats instead of losing it silently.
+func writeSnapshotRetry(path string, v *visitedSet, res Result,
 	frontier []uint32, depth int32, fingerprint, nextBase uint64) (int, error) {
 	return retry.Do(checkpointWriteAttempts, checkpointWriteBackoff, nil, func() error {
-		return writeSealedCheckpoint(path, v, res, frontier, depth, fingerprint, nextBase)
+		return writeSnapshot(path, v, res, frontier, depth, fingerprint, nextBase)
 	})
 }
 
-// parseSealedSnap parses a version-5 body. Arena bytes are validated
-// later, by the checked decode sweep that rebuilds the probe indexes
-// (restoreSealed / materialize); this pass only enforces structural
-// bounds.
+// readSnapshot loads and parses the engine snapshot at path. A missing
+// file yields (nil, nil) — the search simply starts fresh, so
+// interrupt/resume loops need no existence checks.
+func readSnapshot(path string) (*sealedSnap, error) {
+	r, err := readCheckpointEnvelope(path, snapshotVersion)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	return parseSealedSnap(r)
+}
+
+// parseSealedSnap parses a version-5 body. Arena bytes and refs are
+// validated later, by restoreSealed's checked decode sweep; this pass
+// enforces ranges and structural bounds.
 func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 	s5 := &sealedSnap{
-		depth:       int32(r.uvarint()),
-		resultDepth: int(r.uvarint()),
-		transitions: int(r.uvarint()),
+		depth:       int32(r.bounded(math.MaxInt32, "depth")),
+		resultDepth: int(r.bounded(math.MaxInt, "result depth")),
+		transitions: int(r.bounded(math.MaxInt, "transition count")),
 	}
 	s5.reduced = r.uvarint()&checkpointFlagReduced != 0
 	s5.fingerprint = r.uvarint()
-	s5.nextBase = r.uvarint()
+	s5.nextBase = r.bounded(keyMask, "claim-key base")
 	for si := range s5.shards {
 		sn := &s5.shards[si]
 		cnt := r.uvarint()
@@ -635,100 +523,26 @@ func parseSealedSnap(r *cpReader) (*sealedSnap, error) {
 	n := r.count()
 	for i := 0; i < n && r.err == nil; i++ {
 		le := liveSnapEntry{enc: r.bytes()}
-		le.key = r.uvarint()
+		le.key = r.bounded(keyMask, "live claim key")
 		le.pw = r.uvarint()
-		if r.err == nil && le.key > keyMask {
-			return nil, fmt.Errorf("%w: live claim key out of range", ErrBadCheckpoint)
-		}
 		s5.live = append(s5.live, le)
 	}
-	if r.err != nil {
-		return nil, r.err
-	}
-	if r.r.Len() != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadCheckpoint, r.r.Len())
+	s5.frontier = int(r.bounded(uint64(len(s5.live)), "frontier size"))
+	if err := r.end(); err != nil {
+		return nil, err
 	}
 	return s5, nil
 }
 
-// sealedRefState resolves a sealed parent word against per-shard
-// decoded state tables.
-func sealedRefState(states *[numShards][]State, pw uint64) (State, bool, error) {
-	if pw == 0 {
-		return "", false, nil
-	}
-	if pw-1 > uint64(^uint32(0)) {
-		return "", false, fmt.Errorf("%w: parent ref overflow", ErrBadCheckpoint)
-	}
-	ref := uint32(pw - 1)
-	si, o := ref&(numShards-1), ref>>shardBits
-	if int(o) >= len(states[si]) {
-		return "", false, fmt.Errorf("%w: parent ref beyond sealed tier", ErrBadCheckpoint)
-	}
-	return states[si][o], true, nil
-}
-
-// materialize converts a parsed v5 snapshot into the classic
-// per-state Checkpoint form: every arena fully decoded (checked), refs
-// resolved back to parent encodings, entries state-sorted. Claim keys
-// are dropped — the classic form never had them — so a resume from the
-// materialized form behaves like a v4 resume.
-func (s5 *sealedSnap) materialize() (*Checkpoint, error) {
-	var states [numShards][]State
-	var pws [numShards][]uint64
-	var d sealedDecoder
-	for si := range s5.shards {
-		sn := &s5.shards[si]
-		if sn.count == 0 {
-			continue
-		}
-		ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
-		d.startAt(ss, 0, true)
-		for d.ord < sn.count {
-			if err := d.stepChecked(len(ss.blob)); err != nil {
-				return nil, fmt.Errorf("%w: %v", ErrBadCheckpoint, err)
-			}
-			states[si] = append(states[si], State(d.enc))
-			pws[si] = append(pws[si], d.pw)
-		}
-		if d.off != len(ss.blob) {
-			return nil, fmt.Errorf("%w: %d trailing arena bytes", ErrBadCheckpoint, len(ss.blob)-d.off)
-		}
-	}
-	cp := &Checkpoint{
-		Depth:       s5.depth,
-		ResultDepth: s5.resultDepth,
-		Transitions: s5.transitions,
-		Reduced:     s5.reduced,
-		Fingerprint: s5.fingerprint,
-	}
-	for si := range states {
-		for o, st := range states[si] {
-			p, has, err := sealedRefState(&states, pws[si][o])
-			if err != nil {
-				return nil, err
-			}
-			cp.Visited = append(cp.Visited, VisitedEntry{State: st, Parent: p, HasParent: has})
-		}
-	}
-	for _, le := range s5.live {
-		p, has, err := sealedRefState(&states, le.pw)
-		if err != nil {
-			return nil, err
-		}
-		cp.Visited = append(cp.Visited, VisitedEntry{State: State(le.enc), Parent: p, HasParent: has})
-		cp.Frontier = append(cp.Frontier, State(le.enc))
-	}
-	sort.Slice(cp.Visited, func(i, j int) bool { return cp.Visited[i].State < cp.Visited[j].State })
-	return cp, nil
-}
-
-// restoreSealed loads a v5 snapshot natively: arenas are installed
-// wholesale (their probe indexes rebuilt by a checked decode sweep
-// replaying the writer's growth schedule, so capacities — and resident
-// bytes — come out exactly as written) and the live entries are claimed
-// with their real keys in frontier order. The returned frontier plus
-// the snapshot's nextBase continue the interrupted run byte-for-byte.
+// restoreSealed loads a v5 snapshot into an empty visited set: arenas
+// are installed wholesale (their probe indexes rebuilt by a checked
+// decode sweep replaying the writer's growth schedule, so capacities —
+// and resident bytes — come out exactly as written), then the live
+// entries are claimed in file order with their real keys, landing on
+// the ordinals their refs were written against. It returns the live
+// refs in file order; the last s5.frontier of them are the frontier,
+// which with the snapshot's nextBase continues the interrupted run
+// byte-for-byte.
 func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 	total := int64(len(s5.live))
 	for i := range s5.shards {
@@ -784,10 +598,10 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 	}
 	v.count.Add(total - int64(len(s5.live))) // live entries charge via claim
 	var pc probeCounter
-	frontier := make([]uint32, 0, len(s5.live))
-	for _, le := range s5.live {
-		if le.key >= s5.nextBase {
-			return nil, fmt.Errorf("%w: live claim key at or past the resumed base", ErrBadCheckpoint)
+	live := make([]uint32, 0, len(s5.live))
+	for i, le := range s5.live {
+		if le.key >= s5.nextBase || (i > 0 && le.key <= s5.live[i-1].key) {
+			return nil, fmt.Errorf("%w: live claim keys out of order or past the resumed base", ErrBadCheckpoint)
 		}
 		hasParent := le.pw != 0
 		var parent uint32
@@ -795,17 +609,18 @@ func (v *visitedSet) restoreSealed(s5 *sealedSnap) ([]uint32, error) {
 			if le.pw-1 > uint64(^uint32(0)) {
 				return nil, fmt.Errorf("%w: parent ref overflow", ErrBadCheckpoint)
 			}
+			// A parent is sealed, or live and restored before its child.
 			parent = uint32(le.pw - 1)
-			if parent>>shardBits >= v.shards[parent&(numShards-1)].sealed.count {
-				return nil, fmt.Errorf("%w: live parent not sealed", ErrBadCheckpoint)
+			if parent>>shardBits >= v.shards[parent&(numShards-1)].ordCount {
+				return nil, fmt.Errorf("%w: live parent ref not yet restored", ErrBadCheckpoint)
 			}
 		}
 		st, ref := v.claim(le.enc, hashBytes(le.enc), parent, le.key, hasParent, le.key+1, &pc)
 		if st != claimNew {
 			return nil, fmt.Errorf("%w: duplicate live state", ErrBadCheckpoint)
 		}
-		frontier = append(frontier, ref)
+		live = append(live, ref)
 	}
 	v.bumpPeak()
-	return frontier, nil
+	return live, nil
 }

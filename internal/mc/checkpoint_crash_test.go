@@ -1,14 +1,16 @@
 package mc
 
-// Crash-consistency tests for the checkpoint writer: a write that dies at
-// ANY byte offset must leave the previous snapshot readable and the
+// Crash-consistency tests for the checkpoint writers: a write that dies at
+// ANY byte offset must leave the previous file readable and the
 // directory free of temp litter, and a reader handed a damaged file must
 // reject it without modifying it. The mid-write failures are injected
 // through the checkpointWrapWriter seam, so every offset of the real
 // serialization stream is exercised without filesystem tricks.
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,116 +42,158 @@ func (tw *tornWriter) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// altCheckpoint is a snapshot distinguishable from sampleCheckpoint in
-// every field, so a partially applied overwrite cannot masquerade as
-// either complete snapshot.
-func altCheckpoint() *Checkpoint {
-	return &Checkpoint{
-		Depth:       9,
-		ResultDepth: 8,
-		Transitions: 9876,
-		Fingerprint: 0x0123456789abcdef,
-		Frontier:    []State{"x", "yy"},
-		Visited: []VisitedEntry{
-			{State: "x", Parent: "", HasParent: false},
-			{State: "yy", Parent: "x", HasParent: true},
-		},
+// reloadSnapshot restores the engine snapshot at path into a fresh
+// visited set and returns a writer that serializes that state again
+// through the engine's retrying snapshot writer.
+func reloadSnapshot(t testing.TB, path string) func(dst string) (int, error) {
+	t.Helper()
+	s5, err := readSnapshot(path)
+	if err != nil || s5 == nil {
+		t.Fatalf("read snapshot: %v", err)
+	}
+	v := newVisitedSet(1 << 20)
+	live, err := v.restoreSealed(s5)
+	if err != nil {
+		t.Fatalf("restore snapshot: %v", err)
+	}
+	res := Result{Depth: s5.resultDepth, TransitionsExplored: s5.transitions, Reduced: s5.reduced}
+	frontier := live[len(live)-s5.frontier:]
+	return func(dst string) (int, error) {
+		return writeSnapshotRetry(dst, v, res, frontier, s5.depth, s5.fingerprint, s5.nextBase)
+	}
+}
+
+// checkpointFormat is one writer/reader pair under the shared envelope,
+// with two distinguishable files to overwrite one with the other.
+type checkpointFormat struct {
+	name      string
+	old, repl func(path string) error
+	read      func(path string) error
+}
+
+// checkpointFormats returns the delta and the engine-snapshot formats.
+func checkpointFormats(t *testing.T) []checkpointFormat {
+	t.Helper()
+	oldDelta, _ := sampleDelta()
+	replDelta, _ := chainDelta(9, true, 0x0123456789abcdef, "x", "yy")
+	dir := t.TempDir()
+	snapshotWriter := func(cutAt int) func(string) error {
+		src := filepath.Join(dir, fmt.Sprint("snap", cutAt))
+		interruptSealed(t, 8, cutAt, src, false)
+		write := reloadSnapshot(t, src)
+		return func(path string) error {
+			_, err := write(path)
+			return err
+		}
+	}
+	return []checkpointFormat{
+		{"delta", oldDelta, replDelta, func(path string) error {
+			_, err := ReadCheckpoint(path)
+			return err
+		}},
+		{"snapshot", snapshotWriter(2), snapshotWriter(5), func(path string) error {
+			_, err := readSnapshot(path)
+			return err
+		}},
 	}
 }
 
 // TestCheckpointTornWriteKeepsOldSnapshot kills the serialization stream
-// at every byte offset of an overwriting snapshot and checks, after each
-// failed attempt, that (a) WriteCheckpoint reported the failure, (b) the
-// pre-existing snapshot still reads back byte-identical, and (c) no temp
-// file is left behind. A final unwrapped write must then succeed — the
-// torn attempts may not have wedged the path.
+// at every byte offset of an overwriting file, in both formats, and
+// checks after each failed attempt that (a) the writer reported the
+// failure, (b) the pre-existing file still reads back byte-identical,
+// and (c) no temp file is left behind. A final unwrapped write must
+// then succeed — the torn attempts may not have wedged the path.
 func TestCheckpointTornWriteKeepsOldSnapshot(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "cp")
-	old := sampleCheckpoint()
-	if err := WriteCheckpoint(path, old); err != nil {
-		t.Fatalf("seed write: %v", err)
-	}
-	seed, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Measure the replacement snapshot's full stream length with a
-	// counting pass against a scratch path.
-	repl := altCheckpoint()
-	scratch := filepath.Join(dir, "scratch")
-	if err := WriteCheckpoint(scratch, repl); err != nil {
-		t.Fatalf("scratch write: %v", err)
-	}
-	scratchData, err := os.ReadFile(scratch)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(scratch); err != nil {
-		t.Fatal(err)
-	}
-	total := len(scratchData)
-
 	defer func() { checkpointWrapWriter = nil }()
-	for cut := 0; cut < total; cut++ {
-		checkpointWrapWriter = func(w io.Writer) io.Writer {
-			return &tornWriter{w: w, limit: cut}
+	for _, f := range checkpointFormats(t) {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "cp")
+		if err := f.old(path); err != nil {
+			t.Fatalf("%s: seed write: %v", f.name, err)
 		}
-		if err := WriteCheckpoint(path, repl); !errors.Is(err, errTorn) {
-			t.Fatalf("cut at %d: got %v, want errTorn", cut, err)
-		}
-		got, err := ReadCheckpoint(path)
+		seed, err := os.ReadFile(path)
 		if err != nil {
-			t.Fatalf("cut at %d: old snapshot unreadable: %v", cut, err)
+			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, old) {
-			t.Fatalf("cut at %d: old snapshot mutated", cut)
+
+		// Measure the replacement's full stream length with a pass
+		// against a scratch directory.
+		scratch := filepath.Join(t.TempDir(), "scratch")
+		if err := f.repl(scratch); err != nil {
+			t.Fatalf("%s: scratch write: %v", f.name, err)
+		}
+		replData, err := os.ReadFile(scratch)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for cut := 0; cut < len(replData); cut++ {
+			checkpointWrapWriter = func(w io.Writer) io.Writer {
+				return &tornWriter{w: w, limit: cut}
+			}
+			if err := f.repl(path); !errors.Is(err, errTorn) {
+				t.Fatalf("%s: cut at %d: got %v, want errTorn", f.name, cut, err)
+			}
+			if err := f.read(path); err != nil {
+				t.Fatalf("%s: cut at %d: old file unreadable: %v", f.name, cut, err)
+			}
+			raw, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(raw) != string(seed) {
+				t.Fatalf("%s: cut at %d: file bytes changed", f.name, cut)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(entries) != 1 || entries[0].Name() != "cp" {
+				names := make([]string, len(entries))
+				for i, e := range entries {
+					names[i] = e.Name()
+				}
+				t.Fatalf("%s: cut at %d: directory litter %v", f.name, cut, names)
+			}
+		}
+
+		checkpointWrapWriter = nil
+		if err := f.repl(path); err != nil {
+			t.Fatalf("%s: final write: %v", f.name, err)
+		}
+		if err := f.read(path); err != nil {
+			t.Fatalf("%s: final read: %v", f.name, err)
 		}
 		raw, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if string(raw) != string(seed) {
-			t.Fatalf("cut at %d: snapshot bytes changed", cut)
+		if string(raw) != string(replData) {
+			t.Fatalf("%s: final file differs from the replacement", f.name)
 		}
-		entries, err := os.ReadDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(entries) != 1 || entries[0].Name() != "cp" {
-			names := make([]string, len(entries))
-			for i, e := range entries {
-				names[i] = e.Name()
-			}
-			t.Fatalf("cut at %d: directory litter %v", cut, names)
-		}
-	}
-
-	checkpointWrapWriter = nil
-	if err := WriteCheckpoint(path, repl); err != nil {
-		t.Fatalf("final write: %v", err)
-	}
-	got, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("final read: %v", err)
-	}
-	if !reflect.DeepEqual(got, repl) {
-		t.Fatalf("final snapshot mismatch:\n got %+v\nwant %+v", got, repl)
 	}
 }
 
-// enospcWriter fails every write with ENOSPC — a whole WriteCheckpoint
-// attempt dies transiently.
+// enospcWriter fails every write with ENOSPC — a whole write attempt
+// dies transiently.
 type enospcWriter struct{}
 
 func (enospcWriter) Write(p []byte) (int, error) { return 0, syscall.ENOSPC }
 
-// TestWriteCheckpointRetryTransient proves the bounded-backoff wrapper
-// rides out transient failures: two ENOSPC attempts, then success, with
-// the retry count surfaced to the caller.
+// TestWriteCheckpointRetryTransient proves the engine's bounded-backoff
+// snapshot writer rides out transient failures: two ENOSPC attempts,
+// then success, with the retry count surfaced to the caller.
 func TestWriteCheckpointRetryTransient(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	interruptSealed(t, 8, 3, src, false)
+	want, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := reloadSnapshot(t, src)
+
 	fails := 2
 	checkpointWrapWriter = func(w io.Writer) io.Writer {
 		if fails > 0 {
@@ -160,27 +204,31 @@ func TestWriteCheckpointRetryTransient(t *testing.T) {
 	}
 	defer func() { checkpointWrapWriter = nil }()
 
-	want := sampleCheckpoint()
-	retries, err := WriteCheckpointRetry(path, want)
+	path := filepath.Join(dir, "cp")
+	retries, err := write(path)
 	if err != nil {
 		t.Fatalf("write: %v", err)
 	}
 	if retries != 2 {
 		t.Fatalf("retries = %d, want 2", retries)
 	}
-	got, err := ReadCheckpoint(path)
+	got, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("read: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-retry snapshot mismatch:\n got %+v\nwant %+v", got, want)
+	if string(got) != string(want) {
+		t.Fatal("post-retry snapshot differs from the one it was reloaded from")
 	}
 }
 
 // TestWriteCheckpointRetryPermanent proves a non-transient failure is NOT
 // retried: one attempt, the error surfaces as-is.
 func TestWriteCheckpointRetryPermanent(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
+	dir := t.TempDir()
+	src := filepath.Join(dir, "src")
+	interruptSealed(t, 8, 3, src, false)
+	write := reloadSnapshot(t, src)
+
 	calls := 0
 	checkpointWrapWriter = func(w io.Writer) io.Writer {
 		calls++
@@ -188,7 +236,7 @@ func TestWriteCheckpointRetryPermanent(t *testing.T) {
 	}
 	defer func() { checkpointWrapWriter = nil }()
 
-	retries, err := WriteCheckpointRetry(path, sampleCheckpoint())
+	retries, err := write(filepath.Join(dir, "cp"))
 	if !errors.Is(err, errTorn) {
 		t.Fatalf("got %v, want errTorn", err)
 	}
@@ -197,43 +245,59 @@ func TestWriteCheckpointRetryPermanent(t *testing.T) {
 	}
 }
 
-// TestReadCheckpointLeavesCorruptFileIntact pins down that the reader is
-// strictly read-only: rejecting a damaged snapshot must not modify it,
-// so a post-mortem can inspect exactly what the crash left behind.
+// TestReadCheckpointLeavesCorruptFileIntact pins down that both readers
+// are strictly read-only: rejecting a damaged file of either format —
+// read directly, or handed to a resuming search that also names it as
+// its checkpoint path — must not modify it, so a post-mortem can
+// inspect exactly what the crash left behind.
 func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	if err := WriteCheckpoint(path, sampleCheckpoint()); err != nil {
-		t.Fatalf("write: %v", err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bad := append([]byte(nil), data...)
-	bad[len(bad)/2] ^= 0xff
-	if err := os.WriteFile(path, bad, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
-		t.Fatalf("got %v, want ErrBadCheckpoint", err)
-	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(after) != string(bad) {
-		t.Fatal("reader modified the corrupt file")
+	for _, f := range checkpointFormats(t) {
+		path := filepath.Join(t.TempDir(), "cp")
+		if err := f.old(path); err != nil {
+			t.Fatalf("%s: write: %v", f.name, err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := append([]byte(nil), data...)
+		bad[len(bad)/2] ^= 0xff
+		if err := os.WriteFile(path, bad, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		resume := func(path string) error {
+			_, err := CheckTransitionInvariant(diamondModel{k: 8},
+				func(from, to State) bool { return true },
+				Options{ResumePath: path, CheckpointPath: path})
+			return err
+		}
+		for _, read := range []func(string) error{f.read, resume} {
+			if err := read(path); !errors.Is(err, ErrBadCheckpoint) {
+				t.Fatalf("%s: got %v, want ErrBadCheckpoint", f.name, err)
+			}
+			after, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(after) != string(bad) {
+				t.Fatalf("%s: reader modified the corrupt file", f.name)
+			}
+		}
 	}
 }
 
-// FuzzReadCheckpoint throws arbitrary bytes at the reader. The contract
-// under fuzzing: never panic, never modify the input file, and any bytes
-// it does accept must round-trip — re-serializing the accepted snapshot
-// and re-reading it yields the same value.
+// FuzzReadCheckpoint throws arbitrary bytes at both readers. The
+// contract under fuzzing: never panic, never modify the input file, and
+// any bytes a reader does accept must round-trip through the matching
+// writer. A delta that merges into an empty ShardStore is written back
+// through WriteDelta; a snapshot that restores into an empty visited
+// set is written back through the engine's snapshot writer. Re-reading
+// either yields the same value.
 func FuzzReadCheckpoint(f *testing.F) {
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed")
-	if err := WriteCheckpoint(seedPath, sampleCheckpoint()); err != nil {
+	write, _ := sampleDelta()
+	if err := write(seedPath); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := os.ReadFile(seedPath)
@@ -247,13 +311,28 @@ func FuzzReadCheckpoint(f *testing.F) {
 	mut := append([]byte(nil), valid...)
 	mut[len(checkpointMagic)] ^= 0x01 // version byte
 	f.Add(mut)
+	for _, noSeal := range []bool{false, true} {
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err := CheckTransitionInvariant(diamondModel{k: 5}, func(from, to State) bool { return true },
+			Options{Context: ctx, NoSeal: noSeal, CheckpointPath: seedPath, Progress: cancelAfterLevels(3, cancel)})
+		cancel()
+		if !errors.Is(err, ErrInterrupted) {
+			f.Fatalf("seed snapshot: %v", err)
+		}
+		snap, err := os.ReadFile(seedPath)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(snap)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cp")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		cp, err := ReadCheckpoint(path)
+		cp, derr := ReadCheckpoint(path)
+		s5, serr := readSnapshot(path)
 		after, rerr := os.ReadFile(path)
 		if rerr != nil {
 			t.Fatal(rerr)
@@ -261,19 +340,41 @@ func FuzzReadCheckpoint(f *testing.F) {
 		if string(after) != string(data) {
 			t.Fatal("reader modified the file")
 		}
-		if err != nil {
-			return
-		}
 		back := filepath.Join(t.TempDir(), "back")
-		if err := WriteCheckpoint(back, cp); err != nil {
-			t.Fatalf("re-serialize accepted snapshot: %v", err)
+		if derr == nil {
+			s := NewShardStore(0)
+			if refs, err := s.mergeClaims(cp); err == nil {
+				if frontier, err := s.frontierRefs(cp); err == nil {
+					if err := s.WriteDelta(back, cp.Depth, cp.Reduced, cp.Fingerprint, refs, frontier); err != nil {
+						t.Fatalf("re-serialize accepted delta: %v", err)
+					}
+					cp2, err := ReadCheckpoint(back)
+					if err != nil {
+						t.Fatalf("re-read re-serialized delta: %v", err)
+					}
+					if !reflect.DeepEqual(cp, cp2) {
+						t.Fatalf("accepted delta does not round-trip:\n got %+v\nthen %+v", cp, cp2)
+					}
+				}
+			}
 		}
-		cp2, err := ReadCheckpoint(back)
-		if err != nil {
-			t.Fatalf("re-read re-serialized snapshot: %v", err)
-		}
-		if !reflect.DeepEqual(cp, cp2) {
-			t.Fatalf("accepted snapshot does not round-trip:\n got %+v\nthen %+v", cp, cp2)
+		if serr == nil && s5 != nil {
+			v := newVisitedSet(1 << 20)
+			live, err := v.restoreSealed(s5)
+			if err != nil {
+				return
+			}
+			res := Result{Depth: s5.resultDepth, TransitionsExplored: s5.transitions, Reduced: s5.reduced}
+			if err := writeSnapshot(back, v, res, live[len(live)-s5.frontier:], s5.depth, s5.fingerprint, s5.nextBase); err != nil {
+				t.Fatalf("re-serialize accepted snapshot: %v", err)
+			}
+			s52, err := readSnapshot(back)
+			if err != nil {
+				t.Fatalf("re-read re-serialized snapshot: %v", err)
+			}
+			if !reflect.DeepEqual(s5, s52) {
+				t.Fatalf("accepted snapshot does not round-trip:\n got %+v\nthen %+v", s5, s52)
+			}
 		}
 	})
 }

@@ -484,28 +484,19 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		fingerprint = fm.Fingerprint()
 	}
 
-	resume, resume5, err := resolveResume(opts)
+	resume, err := readSnapshot(opts.ResumePath)
 	if err != nil {
 		return res, err
 	}
-	if resume != nil || resume5 != nil {
-		cpReduced, cpFp := false, uint64(0)
-		if resume5 != nil {
-			cpReduced, cpFp = resume5.reduced, resume5.fingerprint
-		} else {
-			cpReduced, cpFp = resume.Reduced, resume.Fingerprint
-		}
-		if cpReduced != res.Reduced {
+	if resume != nil {
+		if resume.reduced != res.Reduced {
 			return res, fmt.Errorf("mc: checkpoint is from a %s search but this search is %s; match the NoReduce option (-no-reduce) of the original run",
-				reductionMode(cpReduced), reductionMode(res.Reduced))
+				reductionMode(resume.reduced), reductionMode(res.Reduced))
 		}
-		if cpFp != 0 && fingerprint != 0 && cpFp != fingerprint {
+		if resume.fingerprint != 0 && fingerprint != 0 && resume.fingerprint != fingerprint {
 			return res, fmt.Errorf("%w: checkpoint is from a model with fingerprint %016x but this model's is %016x; match the -nodes/-couplers/-authority and option flags of the original run",
-				ErrModelMismatch, cpFp, fingerprint)
+				ErrModelMismatch, resume.fingerprint, fingerprint)
 		}
-	}
-	if resume5 != nil && opts.NoSeal {
-		return res, fmt.Errorf("mc: checkpoint was written by a sealed-tier search and cannot resume with sealing disabled; drop -no-seal")
 	}
 
 	sc := newLevelScratch(m, opts.Workers, rm)
@@ -516,30 +507,26 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 	// it advances by len(frontier) << keySuccBits per level, keeping
 	// claim keys globally monotone across the whole search.
 	var nextBase uint64
-	if resume5 != nil {
-		// Native v5 resume: arenas installed wholesale, live entries keep
-		// their real claim keys, and the key base continues where the
-		// interrupted run stopped — the resumed search is byte-identical
-		// to the uninterrupted one, resident footprint included.
-		frontier, err = v.restoreSealed(resume5)
+	if resume != nil {
+		// Arenas install wholesale, live entries keep their real claim
+		// keys, and the key base continues where the interrupted run
+		// stopped — the resumed search is byte-identical to the
+		// uninterrupted one, resident footprint included.
+		live, err := v.restoreSealed(resume)
 		if err != nil {
 			return res, err
 		}
-		startDepth = resume5.depth
-		res.Depth = resume5.resultDepth
-		res.TransitionsExplored = resume5.transitions
-		nextBase = resume5.nextBase
-	} else if resume != nil {
-		frontier, err = v.restore(resume)
-		if err != nil {
-			return res, err
+		frontier = live[len(live)-resume.frontier:]
+		if !opts.NoSeal {
+			// Only a NoSeal search's snapshot holds finished levels in
+			// the live tier; they seal now, in claim-key order — the
+			// order a sealing run would have sealed them in.
+			v.seal(live[:len(live)-len(frontier)], frontier)
 		}
-		startDepth = resume.Depth
-		res.Depth = resume.ResultDepth
-		res.TransitionsExplored = resume.Transitions
-		// Restored entries carry key 0; any positive base orders every
-		// one of them strictly before the first resumed level.
-		nextBase = 1 << keySuccBits
+		startDepth = resume.depth
+		res.Depth = resume.resultDepth
+		res.TransitionsExplored = resume.transitions
+		nextBase = resume.nextBase
 	} else {
 		// Level 0: admit the initial states in index order — their claim
 		// keys are their indices — counting them against the state budget
@@ -642,16 +629,8 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			// The frontier just expanded is immutable now — takeovers only
 			// ever touch current-level claims — so migrate it into the
 			// sealed tier and rewrite next's refs to the compacted live
-			// positions. After a v4 restore the first boundary seals every
-			// restored entry instead: they all carry key 0, so their
-			// levels are indistinguishable, and all of them (frontier
-			// included) are older than the level just computed.
-			batch := frontier
-			if v.restoredAll != nil {
-				batch = v.restoredAll
-				v.restoredAll = nil
-			}
-			v.seal(batch, next)
+			// positions.
+			v.seal(frontier, next)
 		}
 		sc.spare = frontier[:0]
 		frontier = next
@@ -676,7 +655,7 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			// written is dropped — surfaced through Stats — rather than
 			// killing the search. Any earlier snapshot stays in place,
 			// so a later resume is merely older, never wrong.
-			retries, err := writeSnapshotAuto(v, res, frontier, depth+1, fingerprint, nextBase, opts)
+			retries, err := writeSnapshotRetry(opts.CheckpointPath, v, res, frontier, depth+1, fingerprint, nextBase)
 			if met != nil {
 				met.cpRetries += retries
 				if err != nil {
@@ -688,46 +667,6 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 	}
 	res.StatesExplored = int(v.count.Load())
 	return conclusive(res, opts)
-}
-
-// resolveResume picks the checkpoint to restore: the in-memory one wins,
-// then ResumePath — where a missing file means "start fresh", so
-// interrupt/resume loops need no existence checks. A version-5 file at
-// ResumePath is returned in native sealed form (second result) so the
-// engine resumes it byte-identically; everything else materializes as a
-// classic Checkpoint.
-func resolveResume(opts Options) (*Checkpoint, *sealedSnap, error) {
-	if opts.Resume != nil {
-		return opts.Resume, nil, nil
-	}
-	if opts.ResumePath == "" {
-		return nil, nil, nil
-	}
-	version, r, err := readCheckpointEnvelope(opts.ResumePath)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if version == checkpointVersionSealed {
-		s5, err := parseSealedSnap(r)
-		return nil, s5, err
-	}
-	cp, err := parseClassicCheckpoint(version, r)
-	return cp, nil, err
-}
-
-// writeSnapshotAuto writes the engine checkpoint in the right format:
-// version 5 once anything is sealed (the live tier is then exactly the
-// frontier, which is what v5 stores), the classic v4 snapshot otherwise
-// (NoSeal searches, or an interrupt before the first level boundary).
-func writeSnapshotAuto(v *visitedSet, res Result, frontier []uint32, depth int32,
-	fingerprint, nextBase uint64, opts Options) (int, error) {
-	if sealed, _, _ := v.sealedStats(); sealed > 0 {
-		return writeSealedCheckpointRetry(opts.CheckpointPath, v, res, frontier, depth, fingerprint, nextBase)
-	}
-	return WriteCheckpointRetry(opts.CheckpointPath, snapshot(v, res, frontier, depth, fingerprint))
 }
 
 // reductionMode names a search mode in user-facing errors.
@@ -766,7 +705,7 @@ func interrupted(v *visitedSet, res Result, frontier []uint32, depth int32,
 		// Unlike a periodic snapshot, the interrupt snapshot is the
 		// run's only surviving artifact — a write failure here is fatal
 		// after the transient-retry budget is spent.
-		if _, err := writeSnapshotAuto(v, res, frontier, depth, fingerprint, nextBase, opts); err != nil {
+		if _, err := writeSnapshotRetry(opts.CheckpointPath, v, res, frontier, depth, fingerprint, nextBase); err != nil {
 			return res, err
 		}
 	}

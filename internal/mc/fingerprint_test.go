@@ -1,12 +1,8 @@
 package mc
 
 import (
-	"bufio"
 	"context"
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -40,12 +36,12 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	if !errors.Is(err, ErrInterrupted) {
 		t.Fatalf("interrupted run: got %v, want ErrInterrupted", err)
 	}
-	cp, err := ReadCheckpoint(path)
+	s5, err := readSnapshot(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cp.Fingerprint != 0x1111 {
-		t.Fatalf("checkpoint fingerprint = %#x, want 0x1111", cp.Fingerprint)
+	if s5.fingerprint != 0x1111 {
+		t.Fatalf("checkpoint fingerprint = %#x, want 0x1111", s5.fingerprint)
 	}
 
 	// Mismatched fingerprint: typed failure, checkpoint left intact.
@@ -72,94 +68,5 @@ func TestResumeFingerprintMismatch(t *testing.T) {
 	// space to max+1 states.
 	if want := 400 + 1; res.StatesExplored != want {
 		t.Fatalf("resumed to %d states, want %d", res.StatesExplored, want)
-	}
-}
-
-// writeLegacyV3 serializes cp in the version-3 format (no fingerprint
-// word), byte-for-byte what a pre-v4 build would have written.
-func writeLegacyV3(t *testing.T, path string, cp *Checkpoint) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	h := fnv.New64a()
-	bw := bufio.NewWriter(io.MultiWriter(f, h))
-	w := &cpWriter{w: bw}
-	w.raw([]byte(checkpointMagic))
-	w.uvarint(3)
-	w.uvarint(uint64(uint32(cp.Depth)))
-	w.uvarint(uint64(cp.ResultDepth))
-	w.uvarint(uint64(cp.Transitions))
-	flags := uint64(0)
-	if cp.Reduced {
-		flags |= checkpointFlagReduced
-	}
-	w.uvarint(flags)
-	w.uvarint(uint64(len(cp.Frontier)))
-	for _, s := range cp.Frontier {
-		w.str(s)
-	}
-	w.uvarint(uint64(len(cp.Visited)))
-	for _, e := range cp.Visited {
-		w.str(e.State)
-		w.str(e.Parent)
-		fb := byte(0)
-		if e.HasParent {
-			fb = 1
-		}
-		w.raw([]byte{fb})
-	}
-	if w.err == nil {
-		w.err = bw.Flush()
-	}
-	if w.err == nil {
-		var sum [8]byte
-		binary.BigEndian.PutUint64(sum[:], h.Sum64())
-		_, w.err = f.Write(sum[:])
-	}
-	if w.err != nil {
-		t.Fatal(w.err)
-	}
-}
-
-// TestCheckpointLegacyV3Load: a version-3 file (pre-fingerprint) still
-// loads, with a zero fingerprint that disables the identity check.
-func TestCheckpointLegacyV3Load(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	want := sampleCheckpoint()
-	want.Fingerprint = 0
-	writeLegacyV3(t, path, want)
-	got, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatalf("read v3: %v", err)
-	}
-	if got.Fingerprint != 0 {
-		t.Fatalf("v3 fingerprint = %#x, want 0", got.Fingerprint)
-	}
-	if len(got.Visited) != len(want.Visited) || got.Depth != want.Depth || got.Reduced != want.Reduced {
-		t.Fatalf("v3 load mismatch:\n got %+v\nwant %+v", got, want)
-	}
-	// And a fingerprinted model accepts it: best-effort check, one side
-	// zero means no enforcement.
-	inv := func(from, to State) bool { return true }
-	a := fingerprintedColored{coloredModel{max: 5}, 0x1111}
-	ctx, cancel := context.WithCancel(context.Background())
-	_, err = CheckTransitionInvariant(a, inv, Options{
-		Context:        ctx,
-		CheckpointPath: path,
-		Progress:       cancelAfterLevels(2, cancel),
-	})
-	cancel()
-	_ = err // only the checkpoint matters; rewrite it as v3 below
-	cp, err := ReadCheckpoint(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp.Fingerprint = 0
-	writeLegacyV3(t, path, cp)
-	if _, err := CheckTransitionInvariant(a, inv, Options{ResumePath: path}); err != nil {
-		t.Fatalf("fingerprinted model refusing v3 checkpoint: %v", err)
 	}
 }

@@ -164,13 +164,6 @@ type visitedSet struct {
 	// fixed-width words to keep arena bytes deterministic.
 	parentIsRef bool
 
-	// restoredAll is the claim-order ref list of a v4-checkpoint
-	// restore: those entries carry key 0, so the first level boundary
-	// cannot tell their levels apart and seals them as one batch in
-	// this (deterministic, state-sorted) order. Cleared after that
-	// first seal.
-	restoredAll []uint32
-
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
 	// audit.
@@ -223,11 +216,6 @@ func (v *visitedSet) refShard(ref uint32) (sh *flatShard, ord uint32, sealed boo
 	sh = &v.shards[ref&(numShards-1)]
 	ord = ref >> shardBits
 	return sh, ord, ord < sh.liveBase
-}
-
-// entryOf returns the live slot for ref, which must not be sealed.
-func (v *visitedSet) entryOf(ref uint32) *entry {
-	return v.shards[ref&(numShards-1)].entryAt(ref >> shardBits)
 }
 
 // encOfLive returns the encoding of a live entry (aliases the slot or
@@ -334,8 +322,8 @@ type probeCounter struct {
 	dec  sealedDecoder
 }
 
-// sealDec returns the counter's decoder, or a fresh one for the
-// counterless cold paths (restore, tests).
+// sealDec returns the counter's decoder, or a fresh one for
+// counterless callers (tests).
 func (p *probeCounter) sealDec() *sealedDecoder {
 	if p == nil {
 		return new(sealedDecoder)
@@ -487,8 +475,8 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 }
 
 // find probes for an already-admitted encoding. Only called between
-// levels (restore, tests), but uses the same atomic loads as claim so it
-// stays race-clean anywhere.
+// levels (ShardStore merges and parent queries, tests), but uses the
+// same atomic loads as claim so it stays race-clean anywhere.
 func (v *visitedSet) find(enc []byte, h uint64) (uint32, bool) {
 	var scratch [4]byte
 	nfield, kb := v.keyFields(enc, &scratch)

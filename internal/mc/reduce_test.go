@@ -189,12 +189,12 @@ func TestResumeModeMismatch(t *testing.T) {
 		if !errors.Is(err, ErrInterrupted) {
 			t.Fatalf("NoReduce=%v: got %v, want ErrInterrupted", first, err)
 		}
-		cp, err := ReadCheckpoint(path)
+		s5, err := readSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if cp.Reduced != !first {
-			t.Fatalf("NoReduce=%v: checkpoint Reduced=%v", first, cp.Reduced)
+		if s5.reduced != !first {
+			t.Fatalf("NoReduce=%v: checkpoint reduced=%v", first, s5.reduced)
 		}
 		if _, err := CheckTransitionInvariant(m, inv, Options{
 			NoReduce:   !first,
@@ -220,27 +220,20 @@ func TestResumeModeMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointReducedRoundTrip: the version-3 flags word survives the
-// disk format.
+// TestCheckpointReducedRoundTrip: the reduced flag survives the delta
+// format (the engine snapshot's is checked by TestResumeModeMismatch).
 func TestCheckpointReducedRoundTrip(t *testing.T) {
 	for _, reduced := range []bool{false, true} {
-		cp := &Checkpoint{
-			Depth:       3,
-			ResultDepth: 3,
-			Transitions: 17,
-			Reduced:     reduced,
-			Frontier:    []State{"005a"},
-			Visited:     []VisitedEntry{{State: "000a"}, {State: "005a", Parent: "000a", HasParent: true}},
-		}
+		write, want := chainDelta(3, reduced, 0, "000a", "005a")
 		path := filepath.Join(t.TempDir(), "cp")
-		if err := WriteCheckpoint(path, cp); err != nil {
+		if err := write(path); err != nil {
 			t.Fatal(err)
 		}
 		got, err := ReadCheckpoint(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.Reduced != reduced {
+		if got.Reduced != want.Reduced {
 			t.Fatalf("Reduced=%v round-tripped to %v", reduced, got.Reduced)
 		}
 	}

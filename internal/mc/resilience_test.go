@@ -23,14 +23,18 @@ func cancelAfterLevels(n int, cancel context.CancelFunc) func(Progress) {
 }
 
 // interruptThenResume runs the check with cancellation after cutAt levels
-// (flushing a checkpoint), asserts the partial result, then resumes from
-// the checkpoint file and returns the resumed result.
+// (flushing a checkpoint; cutAt 0 cancels before level 0 expands, ahead
+// of any seal), asserts the partial result, then resumes from the
+// checkpoint file and returns the resumed result.
 func interruptThenResume(t *testing.T, run func(Options) (Result, error),
 	workers, cutAt int) Result {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "cp")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	if cutAt == 0 {
+		cancel()
+	}
 	res, err := run(Options{
 		Workers:        workers,
 		Context:        ctx,
@@ -68,7 +72,7 @@ func TestInterruptResumeEquivalenceHolds(t *testing.T) {
 		t.Fatalf("clean run: %+v, %v", clean, err)
 	}
 	for _, w := range workerCounts {
-		for _, cutAt := range []int{1, 5, 20} {
+		for _, cutAt := range []int{0, 1, 5, 20} {
 			resumed := interruptThenResume(t, run, w, cutAt)
 			if !equalResults(resumed, clean) {
 				t.Fatalf("workers=%d cut=%d: resumed %+v differs from clean %+v", w, cutAt, resumed, clean)

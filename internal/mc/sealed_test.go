@@ -12,9 +12,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
 	"runtime"
-	"strings"
 	"testing"
 )
 
@@ -417,36 +415,59 @@ func interruptSealed(t *testing.T, k, cutAt int, path string, noSeal bool) []byt
 	return data
 }
 
-// TestCheckpointV5RoundTrip: an interrupted sealed search writes the v5
-// format, and ReadCheckpoint materializes it to exactly the classic
-// checkpoint an unsealed run would have written at the same cut.
+// TestCheckpointV5RoundTrip: sealed and unsealed searches cut at the
+// same level both write the one engine format. The unsealed file has
+// empty arenas and carries every visited state live; the sealed file
+// carries only the frontier live and is smaller. Header and frontier
+// (encodings and claim keys) agree.
 func TestCheckpointV5RoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	p5 := filepath.Join(dir, "cp5")
-	p4 := filepath.Join(dir, "cp4")
-	d5 := interruptSealed(t, 40, 10, p5, false)
-	d4 := interruptSealed(t, 40, 10, p4, true)
-
-	if v := d5[len(checkpointMagic)]; uint64(v) != checkpointVersionSealed {
-		t.Fatalf("sealed checkpoint version = %d, want %d", v, checkpointVersionSealed)
+	pSealed := filepath.Join(dir, "sealed")
+	pPlain := filepath.Join(dir, "plain")
+	dSealed := interruptSealed(t, 40, 10, pSealed, false)
+	dPlain := interruptSealed(t, 40, 10, pPlain, true)
+	for _, d := range [][]byte{dSealed, dPlain} {
+		if v := d[len(checkpointMagic)]; uint64(v) != snapshotVersion {
+			t.Fatalf("checkpoint version = %d, want %d", v, snapshotVersion)
+		}
 	}
-	if v := d4[len(checkpointMagic)]; uint64(v) != checkpointVersion {
-		t.Fatalf("unsealed checkpoint version = %d, want %d", v, checkpointVersion)
-	}
-	if len(d5) >= len(d4) {
-		t.Errorf("v5 file %dB not smaller than v4 %dB", len(d5), len(d4))
+	if len(dSealed) >= len(dPlain) {
+		t.Errorf("sealed file %dB not smaller than unsealed %dB", len(dSealed), len(dPlain))
 	}
 
-	got, err := ReadCheckpoint(p5)
+	sealed, err := readSnapshot(pSealed)
 	if err != nil {
-		t.Fatalf("read v5: %v", err)
+		t.Fatal(err)
 	}
-	want, err := ReadCheckpoint(p4)
+	plain, err := readSnapshot(pPlain)
 	if err != nil {
-		t.Fatalf("read v4: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("materialized v5 differs from classic v4:\n got %+v\nwant %+v", got, want)
+	if sealed.depth != plain.depth || sealed.resultDepth != plain.resultDepth ||
+		sealed.transitions != plain.transitions || sealed.nextBase != plain.nextBase {
+		t.Fatalf("headers differ: sealed %+v, unsealed %+v", sealed, plain)
+	}
+	if len(sealed.live) != sealed.frontier {
+		t.Fatalf("sealed live tier holds %d entries, frontier %d", len(sealed.live), sealed.frontier)
+	}
+	sealedCount := 0
+	for i := range plain.shards {
+		if plain.shards[i].count != 0 {
+			t.Fatalf("unsealed snapshot has %d sealed entries in shard %d", plain.shards[i].count, i)
+		}
+		sealedCount += int(sealed.shards[i].count)
+	}
+	if len(plain.live) != sealedCount+len(sealed.live) {
+		t.Fatalf("unsealed live tier %d, want every visited state (%d)", len(plain.live), sealedCount+len(sealed.live))
+	}
+	tail := plain.live[len(plain.live)-plain.frontier:]
+	if len(tail) != len(sealed.live) {
+		t.Fatalf("frontiers differ in size: %d vs %d", len(tail), len(sealed.live))
+	}
+	for i := range tail {
+		if !bytes.Equal(tail[i].enc, sealed.live[i].enc) || tail[i].key != sealed.live[i].key {
+			t.Fatalf("frontier[%d] differs: %q/%d vs %q/%d", i, tail[i].enc, tail[i].key, sealed.live[i].enc, sealed.live[i].key)
+		}
 	}
 }
 
@@ -461,7 +482,7 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, bad, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := readSnapshot(path); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("flip at byte %d: got %v, want ErrBadCheckpoint", i, err)
 		}
 	}
@@ -469,47 +490,41 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 		if err := os.WriteFile(path, data[:n], 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadCheckpoint(path); !errors.Is(err, ErrBadCheckpoint) {
+		if _, err := readSnapshot(path); !errors.Is(err, ErrBadCheckpoint) {
 			t.Fatalf("truncation to %d bytes: got %v, want ErrBadCheckpoint", n, err)
 		}
 	}
 }
 
 // TestSealedSnapStructuralCorruption mutates a parsed v5 snapshot past
-// the checksum — a truncated arena, a parent word aimed outside the
-// sealed tier, a live key at or above the minted base — and requires
-// both consumers (materialize for v4-class readers, restoreSealed for
-// native resume) to reject rather than mis-decode.
+// the checksum — a truncated arena, a parent ref aimed past every
+// restored entry or at a live entry restored after its child, claim
+// keys out of order or at the minted base — and requires restoreSealed
+// to reject rather than mis-decode.
 func TestSealedSnapStructuralCorruption(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 20, 8, path, false)
+	dir := t.TempDir()
+	sealedPath := filepath.Join(dir, "sealed")
+	plainPath := filepath.Join(dir, "plain")
+	interruptSealed(t, 20, 8, sealedPath, false)
+	interruptSealed(t, 20, 8, plainPath, true)
 
-	parse := func() *sealedSnap {
+	check := func(name, path string, mutate func(*sealedSnap)) {
 		t.Helper()
-		version, r, err := readCheckpointEnvelope(path)
-		if err != nil || version != checkpointVersionSealed {
-			t.Fatalf("envelope: version=%d err=%v", version, err)
-		}
-		s5, err := parseSealedSnap(r)
+		s5, err := readSnapshot(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s5
-	}
-
-	check := func(name string, mutate func(*sealedSnap)) {
-		s5 := parse()
+		if len(s5.live) < 2 {
+			t.Fatal("fixture has fewer than two live entries")
+		}
 		mutate(s5)
-		if _, err := s5.materialize(); err == nil {
-			t.Errorf("%s: materialize accepted the corruption", name)
-		}
 		v := newVisitedSet(1 << 20)
-		if _, err := v.restoreSealed(s5); err == nil {
-			t.Errorf("%s: restoreSealed accepted the corruption", name)
+		if _, err := v.restoreSealed(s5); !errors.Is(err, ErrBadCheckpoint) {
+			t.Errorf("%s: restoreSealed returned %v, want ErrBadCheckpoint", name, err)
 		}
 	}
 
-	check("truncated-blob", func(s5 *sealedSnap) {
+	check("truncated-blob", sealedPath, func(s5 *sealedSnap) {
 		for i := range s5.shards {
 			if n := len(s5.shards[i].blob); n > 1 {
 				s5.shards[i].blob = s5.shards[i].blob[:n-1]
@@ -518,67 +533,40 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 		}
 		t.Fatal("fixture has no sealed blob to truncate")
 	})
-	check("dangling-parent", func(s5 *sealedSnap) {
+	check("dangling-parent", sealedPath, func(s5 *sealedSnap) {
+		s5.live[0].pw = uint64(makeRef(0, maxOrdinal)) + 1
+	})
+	check("key-past-base", sealedPath, func(s5 *sealedSnap) {
+		s5.live[len(s5.live)-1].key = s5.nextBase
+	})
+	check("keys-out-of-order", sealedPath, func(s5 *sealedSnap) {
+		s5.live[0].key, s5.live[1].key = s5.live[1].key, s5.live[0].key
+	})
+	check("parent-after-child", plainPath, func(s5 *sealedSnap) {
+		// Aim the first child's parent at the last live entry: a live
+		// ref the restore has not reached yet.
+		last := len(s5.live) - 1
+		h := hashBytes(s5.live[last].enc)
+		var pos uint32
+		for _, le := range s5.live[:last] {
+			if hashBytes(le.enc)&(numShards-1) == h&(numShards-1) {
+				pos++
+			}
+		}
 		for i := range s5.live {
 			if s5.live[i].pw != 0 {
-				s5.live[i].pw = uint64(makeRef(0, uint32(s5.shards[0].count))) + 1
+				s5.live[i].pw = uint64(makeRef(uint32(h&(numShards-1)), pos)) + 1
 				return
 			}
 		}
 		t.Fatal("fixture has no live parent to corrupt")
 	})
-	// Live keys must stay under the recorded nextBase; only restoreSealed
-	// enforces this (materialize drops keys by design).
-	s5 := parse()
-	if len(s5.live) == 0 {
-		t.Fatal("fixture has no live entries")
-	}
-	s5.live[0].key = s5.nextBase
-	v := newVisitedSet(1 << 20)
-	if _, err := v.restoreSealed(s5); err == nil {
-		t.Error("key-past-base: restoreSealed accepted the corruption")
-	}
 }
 
-// TestResumeNoSealV5Refused: a v5 checkpoint cannot resume with sealing
-// disabled (the restored tier would be unreachable), with a message
-// naming the flag; the checkpoint must survive the refusal. The inverse
-// direction — a NoSeal run's v4 file resumed by a sealing engine — must
-// work and match the clean result.
-func TestResumeNoSealV5Refused(t *testing.T) {
-	m := diamondModel{k: 40}
-	inv := func(from, to State) bool { return true }
-	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 40, 10, path, false)
-
-	_, err := CheckTransitionInvariant(m, inv, Options{NoSeal: true, ResumePath: path})
-	if err == nil || !strings.Contains(err.Error(), "no-seal") {
-		t.Fatalf("v5 resume under NoSeal: got %v, want a no-seal refusal", err)
-	}
-	if _, serr := os.Stat(path); serr != nil {
-		t.Fatalf("checkpoint gone after refused resume: %v", serr)
-	}
-
-	clean, err := CheckTransitionInvariant(m, inv, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	interruptSealed(t, 40, 10, path, true) // v4 file
-	resumed, err := CheckTransitionInvariant(m, inv, Options{ResumePath: path, CheckpointPath: path})
-	if err != nil {
-		t.Fatalf("sealed engine resuming v4: %v", err)
-	}
-	if !equalResults(resumed, clean) {
-		t.Fatalf("v4-resumed %+v differs from clean %+v", resumed, clean)
-	}
-}
-
-// TestCheckpointLegacyV4SealedResume hand-builds a version-4 file —
-// byte-for-byte what a pre-sealed-tier build would have written — from
-// a mid-search snapshot and proves the sealed engine restores it (the
-// restored states migrate at the first boundary) to the clean result,
-// at every worker count.
-func TestCheckpointLegacyV4SealedResume(t *testing.T) {
+// TestResumeSealedUnderNoSeal: a sealed search's snapshot resumes with
+// sealing disabled — the restored arenas stay sealed, everything after
+// them stays live — and the result equals the clean run's.
+func TestResumeSealedUnderNoSeal(t *testing.T) {
 	m := diamondModel{k: 40}
 	inv := func(from, to State) bool { return true }
 	clean, err := CheckTransitionInvariant(m, inv, Options{})
@@ -586,30 +574,62 @@ func TestCheckpointLegacyV4SealedResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "cp")
-	interruptSealed(t, 40, 10, path, false)
-	cp, err := ReadCheckpoint(path) // materialize the v5 file...
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ...and re-serialize it through the v4 writer, as a legacy build
-	// resuming this search would have left it.
-	if err := WriteCheckpoint(path, cp); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := data[len(checkpointMagic)]; uint64(v) != checkpointVersion {
-		t.Fatalf("legacy fixture version = %d, want %d", v, checkpointVersion)
-	}
 	for _, w := range workerCounts {
-		resumed, err := CheckTransitionInvariant(m, inv, Options{Workers: w, ResumePath: path})
+		interruptSealed(t, 40, 10, path, false)
+		resumed, err := CheckTransitionInvariant(m, inv, Options{Workers: w, NoSeal: true, ResumePath: path, CheckpointPath: path})
 		if err != nil {
-			t.Fatalf("workers=%d: legacy v4 resume: %v", w, err)
+			t.Fatalf("workers=%d: sealed snapshot resumed under NoSeal: %v", w, err)
 		}
 		if !equalResults(resumed, clean) {
 			t.Fatalf("workers=%d: resumed %+v differs from clean %+v", w, resumed, clean)
+		}
+		if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
+			t.Fatalf("workers=%d: checkpoint not removed after conclusive resume", w)
+		}
+	}
+}
+
+// TestNoSealInterruptResume: an unsealed search cut and resumed through
+// the one engine format equals the clean unsealed run at every worker
+// count — result, no sealed states, same peak resident bytes. Resumed
+// with sealing on, the same snapshot seals its finished levels at once
+// and ends exactly where a clean sealed run does.
+func TestNoSealInterruptResume(t *testing.T) {
+	m := diamondModel{k: 40}
+	inv := func(from, to State) bool { return true }
+	run := func(opts Options) (Result, Stats) {
+		t.Helper()
+		var st Stats
+		opts.Stats = func(s Stats) { st = s }
+		res, err := CheckTransitionInvariant(m, inv, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, st
+	}
+	cleanPlain, plainStats := run(Options{NoSeal: true})
+	cleanSealed, sealedStats := run(Options{})
+	path := filepath.Join(t.TempDir(), "cp")
+	for _, w := range workerCounts {
+		interruptSealed(t, 40, 10, path, true)
+		res, st := run(Options{Workers: w, NoSeal: true, ResumePath: path})
+		if !equalResults(res, cleanPlain) {
+			t.Fatalf("workers=%d: resumed %+v differs from clean %+v", w, res, cleanPlain)
+		}
+		if st.SealedStates != 0 {
+			t.Fatalf("workers=%d: resumed NoSeal run sealed %d states", w, st.SealedStates)
+		}
+		if st.PeakResidentBytes != plainStats.PeakResidentBytes {
+			t.Errorf("workers=%d: resumed peak resident %d, clean %d", w, st.PeakResidentBytes, plainStats.PeakResidentBytes)
+		}
+
+		res, st = run(Options{Workers: w, ResumePath: path})
+		if !equalResults(res, cleanSealed) {
+			t.Fatalf("workers=%d: sealed resume %+v differs from clean %+v", w, res, cleanSealed)
+		}
+		if st.SealedStates != sealedStats.SealedStates || st.SealedArenaBytes != sealedStats.SealedArenaBytes {
+			t.Errorf("workers=%d: sealed resume ends with %d states / %dB arena, clean %d / %dB", w,
+				st.SealedStates, st.SealedArenaBytes, sealedStats.SealedStates, sealedStats.SealedArenaBytes)
 		}
 	}
 }

@@ -2,11 +2,14 @@ package mc
 
 // Unit tests for the distributed worker's ShardStore: claim semantics
 // (min-key takeover within a level, immutability across levels, budget
-// refusal), key-ordered level drains, and the snapshot/restore/merge
+// refusal), key-ordered level drains, and the delta-file write/merge
 // round trips crash recovery depends on.
 
 import (
+	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 )
@@ -97,30 +100,48 @@ func TestShardStoreDrainLevelKeyOrder(t *testing.T) {
 	}
 }
 
+// deltaOf writes the store's drained level as a delta file (the
+// level's states are also its frontier) and reads it back, the way
+// crash recovery receives it.
+func deltaOf(t *testing.T, s *ShardStore, depth int32, reduced bool, fp uint64) *Checkpoint {
+	t.Helper()
+	refs, _ := s.DrainLevel()
+	path := filepath.Join(t.TempDir(), "delta")
+	if err := s.WriteDelta(path, depth, reduced, fp, refs, refs); err != nil {
+		t.Fatalf("write delta: %v", err)
+	}
+	cp, err := ReadCheckpoint(path)
+	if err != nil {
+		t.Fatalf("read delta: %v", err)
+	}
+	return cp
+}
+
+// TestShardStoreSnapshotRestoreRoundTrip: a delta file restores, by
+// merging into an empty store, to the states, frontier and parents it
+// was written from.
 func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	s := NewShardStore(0)
 	s.Claim([]byte("root"), 1, nil, false, 1)
 	s.Claim([]byte("kid1"), 10, []byte("root"), true, 10)
 	s.Claim([]byte("kid2"), 11, []byte("root"), true, 10)
-	frontier, _ := s.DrainLevel()
-
-	cp := s.Snapshot(3, true, 0xfeed, frontier)
+	cp := deltaOf(t, s, 3, true, 0xfeed)
 	if cp.Depth != 3 || !cp.Reduced || cp.Fingerprint != 0xfeed {
-		t.Fatalf("snapshot header %+v", cp)
+		t.Fatalf("delta header %+v", cp)
 	}
 
 	r := NewShardStore(0)
-	restored, err := r.Restore(cp)
+	restored, err := r.Merge(cp)
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if len(restored) != len(frontier) {
-		t.Fatalf("restored frontier %d refs, want %d", len(restored), len(frontier))
+	want := []string{"root", "kid1", "kid2"}
+	if len(restored) != len(want) {
+		t.Fatalf("restored frontier %d refs, want %d", len(restored), len(want))
 	}
-	for i := range frontier {
-		want := string(s.BytesOf(frontier[i]))
-		if got := string(r.BytesOf(restored[i])); got != want {
-			t.Fatalf("frontier[%d] = %q, want %q", i, got, want)
+	for i := range want {
+		if got := string(r.BytesOf(restored[i])); got != want[i] {
+			t.Fatalf("frontier[%d] = %q, want %q", i, got, want[i])
 		}
 	}
 	if r.Count() != s.Count() {
@@ -132,13 +153,10 @@ func TestShardStoreSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, has, found := r.ParentOf([]byte("root")); !found || has {
 		t.Fatalf("restored root should be parentless (has=%v found=%v)", has, found)
 	}
-
-	// Restore demands an empty store.
-	if _, err := r.Restore(cp); err == nil {
-		t.Fatal("second restore into a non-empty store succeeded")
-	}
 }
 
+// TestShardStoreSnapshotCanonical: delta bytes follow claim keys, not
+// admission order.
 func TestShardStoreSnapshotCanonical(t *testing.T) {
 	a := NewShardStore(0)
 	a.Claim([]byte("m"), 5, nil, false, 5)
@@ -146,39 +164,66 @@ func TestShardStoreSnapshotCanonical(t *testing.T) {
 	b := NewShardStore(0)
 	b.Claim([]byte("n"), 6, nil, false, 5)
 	b.Claim([]byte("m"), 5, nil, false, 5)
-	fa, _ := a.DrainLevel()
-	fb, _ := b.DrainLevel()
-	if !reflect.DeepEqual(a.Snapshot(1, false, 0, fa), b.Snapshot(1, false, 0, fb)) {
-		t.Fatal("snapshots differ under admission order")
+	var files [2][]byte
+	for i, s := range []*ShardStore{a, b} {
+		refs, _ := s.DrainLevel()
+		path := filepath.Join(t.TempDir(), "delta")
+		if err := s.WriteDelta(path, 1, false, 0, refs, refs); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		files[i] = data
+	}
+	if !bytes.Equal(files[0], files[1]) {
+		t.Fatal("delta files differ under admission order")
 	}
 }
 
 func TestShardStoreMergeDisjointAndOverlap(t *testing.T) {
-	// A survivor holding its own shard absorbs a dead worker's snapshot.
-	dead := NewShardStore(0)
-	dead.Claim([]byte("d1"), 7, nil, false, 7)
-	dead.Claim([]byte("d2"), 8, []byte("d1"), true, 7)
-	df, _ := dead.DrainLevel()
-	cp := dead.Snapshot(2, false, 0, df)
+	// A survivor holding its own shard absorbs a dead worker's delta,
+	// into its live tier (Merge) or straight into the sealed tier
+	// (MergeSealed).
+	for _, sealed := range []bool{false, true} {
+		dead := NewShardStore(0)
+		dead.Claim([]byte("d1"), 7, nil, false, 7)
+		dead.Claim([]byte("d2"), 8, []byte("d1"), true, 7)
+		cp := deltaOf(t, dead, 2, false, 0)
 
-	surv := NewShardStore(0)
-	surv.Claim([]byte("s1"), 9, nil, false, 9)
+		surv := NewShardStore(0)
+		surv.Claim([]byte("s1"), 9, nil, false, 9)
+		held, _ := surv.DrainLevel()
+		merge := surv.Merge
+		if sealed {
+			merge = func(cp *Checkpoint) ([]uint32, error) { return surv.MergeSealed(cp, held) }
+		}
 
-	merged, err := surv.Merge(cp)
-	if err != nil {
-		t.Fatalf("merge: %v", err)
-	}
-	if len(merged) != 2 || surv.Count() != 3 {
-		t.Fatalf("merge frontier %d refs, count %d; want 2 and 3", len(merged), surv.Count())
-	}
-	if p, has, _ := surv.ParentOf([]byte("d2")); !has || p != "d1" {
-		t.Fatalf("merged parent of d2 = (%q,%v)", p, has)
-	}
+		merged, err := merge(cp)
+		if err != nil {
+			t.Fatalf("sealed=%v: merge: %v", sealed, err)
+		}
+		if len(merged) != 2 || surv.Count() != 3 {
+			t.Fatalf("sealed=%v: merge frontier %d refs, count %d; want 2 and 3", sealed, len(merged), surv.Count())
+		}
+		for i, want := range []string{"d1", "d2"} {
+			if got := string(surv.BytesOf(merged[i])); got != want {
+				t.Fatalf("sealed=%v: merged frontier[%d] = %q, want %q", sealed, i, got, want)
+			}
+		}
+		if got := string(surv.BytesOf(held[0])); got != "s1" {
+			t.Fatalf("sealed=%v: survivor's own ref now reads %q", sealed, got)
+		}
+		if p, has, _ := surv.ParentOf([]byte("d2")); !has || p != "d1" {
+			t.Fatalf("sealed=%v: merged parent of d2 = (%q,%v)", sealed, p, has)
+		}
 
-	// Overlapping states mean the snapshot and the store disagree about
-	// shard ownership — corrupt, not mergeable.
-	if _, err := surv.Merge(cp); !errors.Is(err, ErrCheckpointCorrupt) {
-		t.Fatalf("overlapping merge: %v, want ErrCheckpointCorrupt", err)
+		// Overlapping states mean the delta and the store disagree about
+		// shard ownership — corrupt, not mergeable.
+		if _, err := merge(cp); !errors.Is(err, ErrCheckpointCorrupt) {
+			t.Fatalf("sealed=%v: overlapping merge: %v, want ErrCheckpointCorrupt", sealed, err)
+		}
 	}
 }
 
@@ -186,8 +231,7 @@ func TestShardStoreMergeOverBudget(t *testing.T) {
 	dead := NewShardStore(0)
 	dead.Claim([]byte("d1"), 1, nil, false, 1)
 	dead.Claim([]byte("d2"), 2, nil, false, 1)
-	df, _ := dead.DrainLevel()
-	cp := dead.Snapshot(1, false, 0, df)
+	cp := deltaOf(t, dead, 1, false, 0)
 
 	surv := NewShardStore(3)
 	surv.Claim([]byte("s1"), 3, nil, false, 1)
@@ -197,16 +241,17 @@ func TestShardStoreMergeOverBudget(t *testing.T) {
 	}
 }
 
+// TestShardStoreRestoreOverBudget: restoring a delta into an empty
+// store with a smaller budget than the delta's states fails typed.
 func TestShardStoreRestoreOverBudget(t *testing.T) {
 	big := NewShardStore(0)
 	big.Claim([]byte("a"), 1, nil, false, 1)
 	big.Claim([]byte("b"), 2, nil, false, 1)
 	big.Claim([]byte("c"), 3, nil, false, 1)
-	f, _ := big.DrainLevel()
-	cp := big.Snapshot(1, false, 0, f)
+	cp := deltaOf(t, big, 1, false, 0)
 
 	small := NewShardStore(2)
-	if _, err := small.Restore(cp); !errors.Is(err, ErrStateLimit) {
+	if _, err := small.Merge(cp); !errors.Is(err, ErrStateLimit) {
 		t.Fatalf("over-budget restore: %v, want ErrStateLimit", err)
 	}
 }
