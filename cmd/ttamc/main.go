@@ -384,9 +384,13 @@ func writeStats(w io.Writer, st mc.Stats) {
 	}
 	if st.SealedStates > 0 {
 		fmt.Fprintf(w,
-			"ttamc: sealed tier: %d states, arena %d bytes (%.2f B/state), index %d bytes\n",
+			"ttamc: sealed tier: %d states, arena %d bytes (%.2f B/state), index %d bytes",
 			st.SealedStates, st.SealedArenaBytes,
 			float64(st.SealedArenaBytes)/float64(st.SealedStates), st.SealedIndexBytes)
+		if st.InProcess {
+			fmt.Fprintf(w, ", %d lookups (%d confirm decodes)", st.SealedLookups, st.SealedDecodes)
+		}
+		fmt.Fprintln(w)
 	}
 	if st.WireFrames > 0 {
 		fmt.Fprintf(w, "ttamc: wire: %d frames, %d bytes\n", st.WireFrames, st.WireBytes)

@@ -153,7 +153,7 @@ func stderrOf(t *testing.T, args ...string) string {
 // one, whose backend does not measure them, rather than print zeros.
 func TestRunStatsOmitsUnmeasured(t *testing.T) {
 	local := stderrOf(t, "-authority", "smallshift", "-nodes", "3", "-parallel", "2", "-stats")
-	for _, want := range []string{"361 states in", "allocs (", "load factor", "resident", "probe lengths"} {
+	for _, want := range []string{"361 states in", "allocs (", "load factor", "resident", "probe lengths", "sealed tier:", "lookups ("} {
 		if !strings.Contains(local, want) {
 			t.Errorf("in-process -stats lacks %q:\n%s", want, local)
 		}
@@ -162,7 +162,7 @@ func TestRunStatsOmitsUnmeasured(t *testing.T) {
 	if !strings.Contains(distOut, "361 states in") || !strings.Contains(distOut, "ttamc: wire:") {
 		t.Errorf("dist -stats lacks the measured figures:\n%s", distOut)
 	}
-	for _, unmeasured := range []string{"allocs", "load factor", "resident", "probe lengths", "visited set"} {
+	for _, unmeasured := range []string{"allocs", "load factor", "resident", "probe lengths", "visited set", "lookups"} {
 		if strings.Contains(distOut, unmeasured) {
 			t.Errorf("dist -stats prints the unmeasured %q:\n%s", unmeasured, distOut)
 		}

@@ -292,7 +292,8 @@ func TestReadCheckpointLeavesCorruptFileIntact(t *testing.T) {
 // writer. A delta that merges into an empty ShardStore is written back
 // through WriteDelta; a snapshot that restores into an empty visited
 // set is written back through the engine's snapshot writer. Re-reading
-// either yields the same value.
+// either yields the same value. Every sealed entry a restore accepts
+// must also decode through the trusted (unchecked) decoder.
 func FuzzReadCheckpoint(f *testing.F) {
 	seedDir := f.TempDir()
 	seedPath := filepath.Join(seedDir, "seed")
@@ -325,6 +326,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		f.Add(snap)
 	}
+	f.Add(strayMaskBitSnapshot(f, seedPath))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), "cp")
@@ -363,6 +365,13 @@ func FuzzReadCheckpoint(f *testing.F) {
 			live, err := v.restoreSealed(s5)
 			if err != nil {
 				return
+			}
+			// A restored arena must be safe for the trusted decoder
+			// that lookups use.
+			for si := range v.shards {
+				for o := uint32(0); o < v.shards[si].sealed.count; o++ {
+					v.bytesOf(makeRef(uint32(si), o))
+				}
 			}
 			res := Result{Depth: s5.resultDepth, TransitionsExplored: s5.transitions, Reduced: s5.reduced}
 			if err := writeSnapshot(back, v, res, live[len(live)-s5.frontier:], s5.depth, s5.fingerprint, s5.nextBase); err != nil {

@@ -377,6 +377,8 @@ type searchMetrics struct {
 	sealedStates int64
 	sealedArena  int64
 	sealedIndex  int64
+	sealedLooks  uint64
+	sealedDecs   uint64
 	cpRetries    int
 	cpWriteErr   string
 }
@@ -394,9 +396,12 @@ func (sm *searchMetrics) collect(v *visitedSet, sc *levelScratch) {
 		return
 	}
 	for i := range sc.probes {
-		for b, c := range sc.probes[i].hist {
+		pc := &sc.probes[i]
+		for b, c := range pc.hist {
 			sm.probeHist[b] += c
 		}
+		sm.sealedLooks += pc.sealedLookups
+		sm.sealedDecs += pc.sealedDecodes
 	}
 	sm.loadFactor = v.loadFactor()
 	sm.resident = v.resident.Load()
@@ -445,6 +450,8 @@ func check(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBytes, o
 		SealedStates:       met.sealedStates,
 		SealedArenaBytes:   met.sealedArena,
 		SealedIndexBytes:   met.sealedIndex,
+		SealedLookups:      met.sealedLooks,
+		SealedDecodes:      met.sealedDecs,
 		CheckpointRetries:  met.cpRetries,
 		CheckpointWriteErr: met.cpWriteErr,
 	}
@@ -521,7 +528,7 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			// Only a NoSeal search's snapshot holds finished levels in
 			// the live tier; they seal now, in claim-key order — the
 			// order a sealing run would have sealed them in.
-			v.seal(live[:len(live)-len(frontier)], frontier)
+			v.seal(sc.probes, live[:len(live)-len(frontier)], frontier)
 		}
 		startDepth = resume.depth
 		res.Depth = resume.resultDepth
@@ -630,7 +637,7 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			// ever touch current-level claims — so migrate it into the
 			// sealed tier and rewrite next's refs to the compacted live
 			// positions.
-			v.seal(frontier, next)
+			v.seal(sc.probes, frontier, next)
 		}
 		sc.spare = frontier[:0]
 		frontier = next

@@ -34,6 +34,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/bits"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -166,10 +167,12 @@ type visitedSet struct {
 
 	// Seal scratch, reused across level boundaries; scratchBytes is its
 	// counted capacity so migration transients stay in the resident
-	// audit.
+	// audit. sealOldBase and sealAccs are the seal in progress's
+	// pre-seal live bases and per-shard resident ledgers.
 	sealGroups   [numShards][]uint32
 	sealRemap    [numShards][]uint32
-	sealDec      sealedDecoder
+	sealOldBase  [numShards]uint32
+	sealAccs     [numShards]sealAcc
 	scratchBytes int64
 }
 
@@ -313,22 +316,20 @@ func (v *visitedSet) sealedStats() (states, arena, index int64) {
 // 1..7, plus a tail bucket for 8+.
 const probeBuckets = 8
 
-// probeCounter accumulates a probe-length histogram; each worker owns
-// one (persistent across levels) so the hot path never shares a cache
-// line. It also carries the worker's sealed-tier decoder, whose
-// rolling buffer would otherwise be a per-probe allocation.
+// probeCounter accumulates a probe-length histogram and the sealed
+// tier's lookup counts; each worker owns one (persistent across levels)
+// so the hot path never shares a cache line. It also carries the
+// worker's sealed-tier decoder, whose rolling buffer would otherwise be
+// a per-probe allocation, and which the worker reuses for its shards of
+// a parallel seal.
 type probeCounter struct {
 	hist [probeBuckets]uint64
-	dec  sealedDecoder
-}
-
-// sealDec returns the counter's decoder, or a fresh one for
-// counterless callers (tests).
-func (p *probeCounter) sealDec() *sealedDecoder {
-	if p == nil {
-		return new(sealedDecoder)
-	}
-	return &p.dec
+	// sealedLookups counts claims that reached the sealed tier (a live
+	// miss in a shard with sealed entries); sealedDecodes counts the
+	// full-key decodes that confirmed or refuted their remainder hits.
+	sealedLookups uint64
+	sealedDecodes uint64
+	dec           sealedDecoder
 }
 
 func (p *probeCounter) add(n int) {
@@ -399,7 +400,10 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				// live index, because concurrent inserts are by
 				// definition current-level.
 				if sh.sealed.count > 0 {
-					if _, ok := sh.sealed.find(ph, enc, pc.sealDec(), v.parentIsRef); ok {
+					if pc == nil {
+						pc = new(probeCounter) // counterless callers (tests)
+					}
+					if _, ok := sh.sealed.find(ph, enc, pc, v.parentIsRef); ok {
 						pc.add(n)
 						return claimDup, 0
 					}
@@ -493,8 +497,8 @@ func (v *visitedSet) find(enc []byte, h uint64) (uint32, bool) {
 		cell := atomic.LoadUint64(&cells[i])
 		if cell == 0 {
 			if sh.sealed.count > 0 {
-				var d sealedDecoder
-				if ord, ok := sh.sealed.find(ph, enc, &d, v.parentIsRef); ok {
+				var pc probeCounter
+				if ord, ok := sh.sealed.find(ph, enc, &pc, v.parentIsRef); ok {
 					return makeRef(shardIdx, ord), true
 				}
 			}
@@ -586,16 +590,25 @@ func (v *visitedSet) loadFactor() float64 {
 // rewrites every ref the caller still holds (the slices passed as
 // rewrite) to the post-seal ordinal space.
 //
-// Called only at level barriers (or single-threaded restore): workers
-// are quiescent, so plain loads and stores are safe, and the next
-// level's spawns publish the new tier through the barrier's
+// Called only at level barriers (or restore), with no claim in
+// flight. A serial prelude groups the batch by shard and builds every
+// shard's remap table; then the per-shard migrations run on len(pcs)
+// workers (the caller's worker count — one per probe counter, whose
+// decoder the worker reuses; one for a batch under parallelSealMin),
+// each taking the next shard from an atomic cursor. A shard's
+// migration writes only that shard's state and reads the other shards'
+// remap tables, which no worker writes, so the shards need no locks.
+// The next level's spawns publish the new tiers through the barrier's
 // happens-before edge.
 //
 // Determinism: the batch's per-shard content and order are a pure
 // function of the level's key-sorted frontier, so arena bytes, index
-// capacities, chunk frees and the resident counter all come out
-// identical at every worker count.
-func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
+// capacities and chunk frees come out identical at every worker count.
+// The resident counter does too: each shard records its byte deltas in
+// its own sealAcc, and the fold after the join replays them in shard
+// order — the running total, and the peak at every point a serial
+// seal would sample it, are exactly the serial seal's.
+func (v *visitedSet) seal(pcs []probeCounter, batch []uint32, rewrite ...[]uint32) {
 	if len(batch) == 0 {
 		return
 	}
@@ -614,10 +627,9 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 	// ordinals in batch order; survivors keep their relative arrival
 	// order above them. Built for all shards before any entry moves,
 	// because parent refs cross shards.
-	var oldBase [numShards]uint32
 	for s := range v.shards {
 		sh := &v.shards[s]
-		oldBase[s] = sh.liveBase
+		v.sealOldBase[s] = sh.liveBase
 		g := v.sealGroups[s]
 		rm := v.sealRemap[s][:0]
 		if len(g) > 0 {
@@ -638,18 +650,6 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 		}
 		v.sealRemap[s] = rm
 	}
-	remapRef := func(r uint32) uint32 {
-		s := r & (numShards - 1)
-		rm := v.sealRemap[s]
-		if len(rm) == 0 {
-			return r // shard untouched this seal
-		}
-		o := r >> shardBits
-		if o < oldBase[s] {
-			return r // already sealed
-		}
-		return rm[o-oldBase[s]]<<shardBits | s
-	}
 
 	// The scratch above is part of the set's footprint while it lives;
 	// its capacity only grows, so account the delta.
@@ -663,136 +663,234 @@ func (v *visitedSet) seal(batch []uint32, rewrite ...[]uint32) {
 		v.bumpPeak()
 	}
 
-	for s := range v.shards {
-		sh := &v.shards[s]
-		g := v.sealGroups[s]
-		liveCount := sh.ordCount - oldBase[s]
-		if liveCount == 0 {
-			continue
-		}
-		ss := &sh.sealed
-
-		// Encode the batch into the arena and quotiented index. This
-		// reads live slots, so it runs before compaction moves them.
-		arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
-		for _, ord := range g {
-			e := sh.entryAt(ord)
-			enc := v.encOfLive(e, e.meta)
-			var pw uint64
-			if v.parentIsRef {
-				if e.meta&hasParentBit != 0 {
-					pw = uint64(remapRef(e.parent)) + 1
-				}
-			} else {
-				pw = uint64(e.parent) << 1
-				if e.meta&hasParentBit != 0 {
-					pw |= 1
-				}
-			}
-			if ss.indexNeedsGrow() {
-				added, freed := ss.indexGrow(v.parentIsRef, &v.sealDec)
-				v.resident.Add(added)
-				v.bumpPeak()
-				v.resident.Add(-freed)
-			}
-			h := hashBytes(enc)
-			ss.appendEntry(enc, pw, v.parentIsRef)
-			ss.indexInsert(uint32(h>>32), ss.count-1)
-		}
-		v.resident.Add(int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore)
-		v.bumpPeak()
-
-		// Compact survivors down to position 0 (ascending, so dest ≤
-		// src) and rewrite their parent refs into the new space —
-		// needed even in shards that sealed nothing, since parents
-		// cross shards.
-		nSurv := liveCount - uint32(len(g))
-		if len(g) > 0 {
-			rm := v.sealRemap[s]
-			sealedEnd := oldBase[s] + uint32(len(g))
-			dst := uint32(0)
-			for p := uint32(0); p < liveCount; p++ {
-				if rm[p] < sealedEnd {
-					continue // migrated to the sealed tier
-				}
-				if dst != p {
-					*sh.entryAtPos(dst) = *sh.entryAtPos(p)
-				}
-				dst++
-			}
-		}
-		if v.parentIsRef {
-			for p := uint32(0); p < nSurv; p++ {
-				e := sh.entryAtPos(p)
-				if e.meta&hasParentBit != 0 {
-					e.parent = remapRef(e.parent)
-				}
-			}
-		}
-
-		// Release entry chunks beyond the survivors' needs. Chunk 0
-		// lives in the set-wide shared backing and is never freed.
-		needChunks := 1
-		if nSurv > 0 {
-			c, _ := chunkOf(nSurv - 1)
-			needChunks = c + 1
-		}
-		for c := needChunks; c < maxEntryChunks; c++ {
-			p := sh.chunks[c].Load()
-			if p == nil {
-				break
-			}
-			v.resident.Add(-int64(len(*p)) * 32)
-			sh.chunks[c].Store(nil)
-		}
-
-		// Rebuild the live index over the survivors. Capacity replays
-		// the insert-driven growth schedule from the initial size, so
-		// it is a pure function of the survivor count — the same
-		// capacity a fresh set would reach, keeping resident bytes
-		// deterministic (and matching a checkpoint reader's replay).
-		newCells := initialIndexCells
-		for uint64(nSurv)*4 > uint64(newCells)*3 {
-			if newCells < growDoubleAt {
-				newCells *= 4
-			} else {
-				newCells *= 2
-			}
-		}
-		oldIdx := *sh.index.Load()
-		var cells []uint64
-		if len(oldIdx) == newCells {
-			cells = oldIdx
-			for i := range cells {
-				cells[i] = 0
-			}
-		} else {
-			cells = make([]uint64, newCells)
-			v.resident.Add(int64(newCells) * 8)
-			v.bumpPeak()
-			if len(oldIdx) > initialIndexCells {
-				v.resident.Add(-int64(len(oldIdx)) * 8)
-			}
-		}
-		newBase := oldBase[s] + uint32(len(g))
-		mask := uint32(newCells - 1)
-		for p := uint32(0); p < nSurv; p++ {
-			e := sh.entryAtPos(p)
-			h := hashBytes(v.encOfLive(e, e.meta))
-			i := uint32(h>>32) & mask
-			for cells[i] != 0 {
-				i = (i + 1) & mask
-			}
-			cells[i] = uint64(uint32(h>>32))<<32 | uint64(newBase+p+1)
-		}
-		sh.index.Store(&cells)
-		sh.liveBase = newBase
+	workers := len(pcs)
+	if workers > numShards {
+		workers = numShards
 	}
+	if len(batch) < parallelSealMin {
+		workers = 1
+	}
+	if workers <= 1 {
+		for s := range v.shards {
+			v.sealShard(s, &pcs[0].dec)
+		}
+	} else {
+		var cursor atomic.Int32
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(d *sealedDecoder) {
+				defer wg.Done()
+				for {
+					s := int(cursor.Add(1)) - 1
+					if s >= numShards {
+						return
+					}
+					v.sealShard(s, d)
+					// A shard body has no scheduling point, and every
+					// P is busy sealing, so a GC cycle that starts
+					// mid-seal gets no mark worker until a yield or an
+					// async preemption. Yield between shards: an
+					// unfinished mark would otherwise keep marking the
+					// seal's fresh arenas and cells as live and raise
+					// the next heap goal (peak RSS) by several MiB.
+					runtime.Gosched()
+				}
+			}(&pcs[w].dec)
+		}
+		wg.Wait()
+	}
+
+	// Fold the shard ledgers in shard order, as the serial seal would
+	// have applied them.
+	res, peak := v.resident.Load(), v.peak.Load()
+	for s := range v.sealAccs {
+		a := &v.sealAccs[s]
+		if a.bumped && res+a.hi > peak {
+			peak = res + a.hi
+		}
+		res += a.net
+	}
+	v.resident.Store(res)
+	v.peak.Store(peak)
 
 	// Finally, rewrite every ref array the caller still holds.
 	for _, arr := range rewrite {
 		for i, r := range arr {
-			arr[i] = remapRef(r)
+			arr[i] = v.remapRef(r)
 		}
 	}
+}
+
+// parallelSealMin is the smallest batch a seal spreads over more than
+// one worker: 256 entries per shard on average. Smaller levels seal on
+// the calling goroutine. Their per-shard bodies are too short to repay
+// the extra workers; on the E1–E3 searches, where every level is
+// smaller than this, sealing them in parallel raised peak RSS by about
+// 0.3 MiB and did not measurably shorten the runs. It is a variable
+// only so that tests can send small fixtures through the parallel
+// path.
+var parallelSealMin = numShards * 256
+
+// sealAcc is one shard's resident-byte ledger during a seal: the net
+// delta, and the highest running delta at any point the shard would
+// have sampled the peak.
+type sealAcc struct {
+	net, hi int64
+	bumped  bool
+}
+
+// bump records the running delta as a peak candidate: the shard-local
+// form of bumpPeak.
+func (a *sealAcc) bump() {
+	if !a.bumped || a.net > a.hi {
+		a.hi, a.bumped = a.net, true
+	}
+}
+
+// remapRef maps a pre-seal ref to the post-seal ordinal space using the
+// remap tables of the seal in progress.
+func (v *visitedSet) remapRef(r uint32) uint32 {
+	s := r & (numShards - 1)
+	rm := v.sealRemap[s]
+	if len(rm) == 0 {
+		return r // shard untouched this seal
+	}
+	o := r >> shardBits
+	if o < v.sealOldBase[s] {
+		return r // already sealed
+	}
+	return rm[o-v.sealOldBase[s]]<<shardBits | s
+}
+
+// sealShard migrates shard s's batch group into its sealed tier and
+// compacts, rebuilds and rebases its live tier, recording every
+// resident change in the shard's sealAcc. d is the calling worker's
+// decoder, used for sealed-index growth sweeps.
+func (v *visitedSet) sealShard(s int, d *sealedDecoder) {
+	acc := &v.sealAccs[s]
+	*acc = sealAcc{}
+	sh := &v.shards[s]
+	g := v.sealGroups[s]
+	oldBase := v.sealOldBase[s]
+	liveCount := sh.ordCount - oldBase
+	if liveCount == 0 {
+		return
+	}
+	ss := &sh.sealed
+
+	// Encode the batch into the arena and quotiented index. This reads
+	// live slots, so it runs before compaction moves them.
+	arenaBefore := int64(len(ss.blob)) + int64(len(ss.restarts)*4)
+	for _, ord := range g {
+		e := sh.entryAt(ord)
+		enc := v.encOfLive(e, e.meta)
+		var pw uint64
+		if v.parentIsRef {
+			if e.meta&hasParentBit != 0 {
+				pw = uint64(v.remapRef(e.parent)) + 1
+			}
+		} else {
+			pw = uint64(e.parent) << 1
+			if e.meta&hasParentBit != 0 {
+				pw |= 1
+			}
+		}
+		if ss.indexNeedsGrow() {
+			added, freed := ss.indexGrow(v.parentIsRef, d)
+			acc.net += added
+			acc.bump()
+			acc.net -= freed
+		}
+		h := hashBytes(enc)
+		ss.appendEntry(enc, pw, v.parentIsRef)
+		ss.indexInsert(uint32(h>>32), ss.count-1)
+	}
+	acc.net += int64(len(ss.blob)) + int64(len(ss.restarts)*4) - arenaBefore
+	acc.bump()
+
+	// Compact survivors down to position 0 (ascending, so dest ≤ src)
+	// and rewrite their parent refs into the new space — needed even in
+	// shards that sealed nothing, since parents cross shards.
+	nSurv := liveCount - uint32(len(g))
+	if len(g) > 0 {
+		rm := v.sealRemap[s]
+		sealedEnd := oldBase + uint32(len(g))
+		dst := uint32(0)
+		for p := uint32(0); p < liveCount; p++ {
+			if rm[p] < sealedEnd {
+				continue // migrated to the sealed tier
+			}
+			if dst != p {
+				*sh.entryAtPos(dst) = *sh.entryAtPos(p)
+			}
+			dst++
+		}
+	}
+	if v.parentIsRef {
+		for p := uint32(0); p < nSurv; p++ {
+			e := sh.entryAtPos(p)
+			if e.meta&hasParentBit != 0 {
+				e.parent = v.remapRef(e.parent)
+			}
+		}
+	}
+
+	// Release entry chunks beyond the survivors' needs. Chunk 0 lives
+	// in the set-wide shared backing and is never freed.
+	needChunks := 1
+	if nSurv > 0 {
+		c, _ := chunkOf(nSurv - 1)
+		needChunks = c + 1
+	}
+	for c := needChunks; c < maxEntryChunks; c++ {
+		p := sh.chunks[c].Load()
+		if p == nil {
+			break
+		}
+		acc.net -= int64(len(*p)) * 32
+		sh.chunks[c].Store(nil)
+	}
+
+	// Rebuild the live index over the survivors. Capacity replays the
+	// insert-driven growth schedule from the initial size, so it is a
+	// pure function of the survivor count — the same capacity a fresh
+	// set would reach, keeping resident bytes deterministic (and
+	// matching a checkpoint reader's replay).
+	newCells := initialIndexCells
+	for uint64(nSurv)*4 > uint64(newCells)*3 {
+		if newCells < growDoubleAt {
+			newCells *= 4
+		} else {
+			newCells *= 2
+		}
+	}
+	oldIdx := *sh.index.Load()
+	var cells []uint64
+	if len(oldIdx) == newCells {
+		cells = oldIdx
+		for i := range cells {
+			cells[i] = 0
+		}
+	} else {
+		cells = make([]uint64, newCells)
+		acc.net += int64(newCells) * 8
+		acc.bump()
+		if len(oldIdx) > initialIndexCells {
+			acc.net -= int64(len(oldIdx)) * 8
+		}
+	}
+	newBase := oldBase + uint32(len(g))
+	mask := uint32(newCells - 1)
+	for p := uint32(0); p < nSurv; p++ {
+		e := sh.entryAtPos(p)
+		h := hashBytes(v.encOfLive(e, e.meta))
+		i := uint32(h>>32) & mask
+		for cells[i] != 0 {
+			i = (i + 1) & mask
+		}
+		cells[i] = uint64(uint32(h>>32))<<32 | uint64(newBase+p+1)
+	}
+	sh.index.Store(&cells)
+	sh.liveBase = newBase
 }

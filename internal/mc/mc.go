@@ -246,7 +246,7 @@ type Stats struct {
 	StatesPerSec float64
 	// InProcess reports that the in-process engine ran the search, so
 	// the heap figures (Allocs, AllocBytes) and the visited-set figures
-	// (LoadFactor through SealedIndexBytes) were measured. A distributed
+	// (LoadFactor through SealedDecodes) were measured. A distributed
 	// backend leaves it false: its visited set and most of its heap live
 	// in worker processes, those fields stay zero, and they are not
 	// measurements — a reader leaves them out rather than print 0.
@@ -268,7 +268,10 @@ type Stats struct {
 	LoadFactor float64
 	// ProbeHist is the claim probe-length histogram: ProbeHist[i] counts
 	// claims resolved in i+1 probe steps, with the last bucket holding
-	// everything at probeBuckets steps or more.
+	// everything at probeBuckets steps or more. It counts live-index
+	// probes only: a claim that resolves in the sealed tier is entered
+	// with its live-probe count, and its sealed lookup is counted in
+	// SealedLookups instead.
 	ProbeHist [8]uint64
 	// ResidentBytes is the visited set's exact resident footprint at
 	// search end (live entry slabs + probe indexes + interned overflow +
@@ -290,6 +293,15 @@ type Stats struct {
 	SealedStates     int64
 	SealedArenaBytes int64
 	SealedIndexBytes int64
+	// SealedLookups counts claims that missed the live index and probed
+	// the sealed tier; SealedDecodes counts the full-key decodes that
+	// confirmed or refuted the sealed index's remainder hits. At
+	// Workers 1 both are a pure function of the search. With more
+	// workers, concurrent first claims of one state can each miss the
+	// live index before either publishes, so SealedLookups (and with it
+	// SealedDecodes) can grow slightly with the worker count.
+	SealedLookups uint64
+	SealedDecodes uint64
 	// CheckpointRetries counts transient periodic-snapshot write
 	// failures that a bounded-backoff retry absorbed.
 	// CheckpointWriteErr is the final error of a periodic snapshot that

@@ -37,14 +37,17 @@ package mc
 //     re-keyed, so the claim path returns claimDup without even
 //     loading a key.
 //
-// Mutation happens only at level boundaries (or single-threaded
-// restore), strictly between the worker joins of one level and the
-// goroutine spawns of the next, so readers never race writers and no
-// cell or blob access needs atomics.
+// Mutation happens only at level boundaries (or restore), strictly
+// between the worker joins of one level and the goroutine spawns of the
+// next, so claims never race the writers and no cell or blob access
+// needs atomics. A seal migrates the shards in parallel, but each
+// shard's tier has exactly one writer — the seal worker that took that
+// shard — and no other seal worker reads it.
 //
 // Parent words: the engine stores parent *refs*, rewritten to their
 // sealed ordinals before encoding, and delta-codes them (siblings
-// share a parent, so the common delta is 0 — one byte). A distributed
+// share a parent, so their delta is 0 — one byte; most deltas cross
+// shards and take two or three). A distributed
 // ShardStore's parent field is an intern-table index whose value
 // depends on mesh arrival order; delta-coding those would make the
 // arena *size* racy, so dist mode stores them as fixed 4-byte words
@@ -54,6 +57,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
 
 const (
@@ -188,41 +192,48 @@ func (d *sealedDecoder) startAt(ss *sealedShard, ord uint32, parentIsRef bool) {
 
 // step decodes the record at the decoder's position into its rolling
 // state. It trusts arena invariants (callers decoding untrusted bytes
-// use stepChecked); slice bounds remain the backstop.
+// use stepChecked); slice bounds remain the backstop. A delta record
+// is applied by walking only the set bits of its mask: a sealed delta
+// changes a handful of bytes out of ~19, so the cost is per changed
+// byte, not per encoding byte.
 func (d *sealedDecoder) step() {
-	ss := d.ss
+	blob := d.ss.blob
+	off := d.off
 	restart := d.ord%sealedRestartEvery == 0
 	if d.parentIsRef {
 		if restart {
-			pw, n := binary.Uvarint(ss.blob[d.off:])
+			pw, n := binary.Uvarint(blob[off:])
 			d.pw = pw
-			d.off += n
+			off += n
 		} else {
-			delta, n := binary.Varint(ss.blob[d.off:])
+			delta, n := binary.Varint(blob[off:])
 			d.pw = uint64(int64(d.pw) + delta)
-			d.off += n
+			off += n
 		}
 	} else {
-		d.pw = uint64(binary.LittleEndian.Uint32(ss.blob[d.off:]))
-		d.off += 4
+		d.pw = uint64(binary.LittleEndian.Uint32(blob[off:]))
+		off += 4
 	}
-	encLen64, n := binary.Uvarint(ss.blob[d.off:])
-	d.off += n
+	encLen64, n := binary.Uvarint(blob[off:])
 	encLen := int(encLen64)
+	off += n
 	if restart || encLen != len(d.enc) {
-		d.enc = append(d.enc[:0], ss.blob[d.off:d.off+encLen]...)
-		d.off += encLen
+		d.enc = append(d.enc[:0], blob[off:off+encLen]...)
+		off += encLen
 	} else {
 		maskLen := (encLen + 7) / 8
-		mask := ss.blob[d.off : d.off+maskLen]
-		d.off += maskLen
-		for i := 0; i < encLen; i++ {
-			if mask[i/8]&(1<<(i%8)) != 0 {
-				d.enc[i] = ss.blob[d.off]
-				d.off++
+		mask := blob[off : off+maskLen]
+		off += maskLen
+		enc := d.enc
+		for j, m := range mask {
+			for m != 0 {
+				enc[j*8+bits.TrailingZeros8(m)] = blob[off]
+				off++
+				m &= m - 1
 			}
 		}
 	}
+	d.off = off
 	d.ord++
 }
 
@@ -282,6 +293,11 @@ func (d *sealedDecoder) stepChecked(maxEnc int) error {
 			return errSealedCorrupt
 		}
 		mask := ss.blob[d.off : d.off+maskLen]
+		// Bits at or past encLen in the last mask byte name no byte
+		// of the encoding; step would index past it.
+		if encLen%8 != 0 && mask[maskLen-1]>>(encLen%8) != 0 {
+			return errSealedCorrupt
+		}
 		d.off += maskLen
 		for i := 0; i < encLen; i++ {
 			if mask[i/8]&(1<<(i%8)) != 0 {
@@ -309,14 +325,16 @@ func (d *sealedDecoder) decodeAt(ss *sealedShard, ord uint32, parentIsRef bool) 
 }
 
 // find probes the quotiented index for enc (probe hash ph): a cell
-// whose remainder matches is confirmed by decoding its entry and
-// comparing full encodings, so collisions in (position, remainder)
-// resolve exactly. Returns the sealed ordinal on a hit.
-func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef bool) (uint32, bool) {
+// whose remainder matches is confirmed by decoding its entry with pc's
+// decoder and comparing full encodings, so collisions in (position,
+// remainder) resolve exactly. The lookup and its confirm decodes are
+// counted in pc. Returns the sealed ordinal on a hit.
+func (ss *sealedShard) find(ph uint32, enc []byte, pc *probeCounter, parentIsRef bool) (uint32, bool) {
 	cells := ss.index
 	if len(cells) == 0 {
 		return 0, false
 	}
+	pc.sealedLookups++
 	mask := uint32(len(cells) - 1)
 	rem := ph >> sealedRemShift
 	for i := ph & mask; ; i = (i + 1) & mask {
@@ -326,7 +344,8 @@ func (ss *sealedShard) find(ph uint32, enc []byte, d *sealedDecoder, parentIsRef
 		}
 		if cell>>sealedRemShift == rem {
 			ord := cell&sealedOrdMask - 1
-			got, _ := d.decodeAt(ss, ord, parentIsRef)
+			pc.sealedDecodes++
+			got, _ := pc.dec.decodeAt(ss, ord, parentIsRef)
 			if bytes.Equal(got, enc) {
 				return ord, true
 			}

@@ -8,8 +8,10 @@ package mc
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -23,15 +25,26 @@ func sealFixtureState(level, id int) []byte {
 	return []byte(fmt.Sprintf("L%03d/s%08d", level, id))
 }
 
+// sealInParallel sends every seal of the calling test through the
+// parallel path, whatever its batch size, so small fixtures exercise
+// the per-shard workers and the ledger fold.
+func sealInParallel(t testing.TB) {
+	old := parallelSealMin
+	parallelSealMin = 0
+	t.Cleanup(func() { parallelSealMin = old })
+}
+
 // TestSealMigrationRoundTrip drives the visited set exactly as the
 // engine does — claim a level under a base, seal the previous level,
 // repeat — and verifies after every boundary that each state (sealed or
 // live) still resolves by find, round-trips its bytes, keeps its parent
 // chain, and reports duplicate claims as duplicates.
 func TestSealMigrationRoundTrip(t *testing.T) {
+	sealInParallel(t)
 	const levels, perLevel = 12, 90
 	v := newVisitedSet(levels*perLevel + 1)
 	var pc probeCounter
+	sealers := make([]probeCounter, 3) // seals run on three workers
 
 	type rec struct {
 		enc    []byte
@@ -64,7 +77,7 @@ func TestSealMigrationRoundTrip(t *testing.T) {
 		// Level boundary: the just-expanded previous level migrates to
 		// the sealed tier; every ref the test still holds is rewritten.
 		if len(prevLevel) > 0 {
-			v.seal(prevLevel, allRefs, curLevel)
+			v.seal(sealers, prevLevel, allRefs, curLevel)
 		}
 		prevLevel = curLevel
 		curLevel = nil
@@ -140,7 +153,7 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 		}
 		refs[i] = ref
 	}
-	v.seal(refs, refs)
+	v.seal([]probeCounter{pc}, refs, refs)
 	if states, _, _ := v.sealedStats(); states != n {
 		t.Fatalf("sealed %d states, want %d", states, n)
 	}
@@ -169,6 +182,7 @@ func TestSealedIndexCollisionAdversary(t *testing.T) {
 // edges, random seal batch sizes — through claim/seal and cross-checks
 // the sealed tier against a plain map oracle.
 func FuzzSealedTier(f *testing.F) {
+	sealInParallel(f)
 	f.Add(uint64(1), uint8(3), uint8(40))
 	f.Add(uint64(0xdeadbeef), uint8(16), uint8(1))
 	f.Add(uint64(42), uint8(24), uint8(200))
@@ -182,6 +196,7 @@ func FuzzSealedTier(f *testing.F) {
 		const n = 600
 		v := newVisitedSet(n + 1)
 		var pc probeCounter
+		sealers := make([]probeCounter, 1+int(batch%4))
 
 		rng := seed
 		next := func() uint64 { // splitmix64
@@ -232,12 +247,12 @@ func FuzzSealedTier(f *testing.F) {
 			refs = append(refs, ref)
 			pending = append(pending, ref)
 			if len(pending) >= int(batch) {
-				v.seal(pending, refs)
+				v.seal(sealers, pending, refs)
 				pending = pending[:0]
 			}
 		}
 		if len(pending) > 0 {
-			v.seal(pending, refs)
+			v.seal(sealers, pending, refs)
 		}
 
 		states, _, _ := v.sealedStats()
@@ -343,6 +358,7 @@ func TestResidentAccountingMemStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-MB allocation cross-check")
 	}
+	sealInParallel(t)
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -350,6 +366,7 @@ func TestResidentAccountingMemStats(t *testing.T) {
 	const n = 120000
 	v := newVisitedSet(n + 1)
 	var pc probeCounter
+	sealers := make([]probeCounter, 2)
 	var enc [24]byte // > inlineStateBytes: every claim exercises the intern table too
 	var pending []uint32
 	for i := 0; i < n; i++ {
@@ -365,11 +382,11 @@ func TestResidentAccountingMemStats(t *testing.T) {
 		}
 		pending = append(pending, ref)
 		if len(pending) == 4096 {
-			v.seal(pending)
+			v.seal(sealers, pending)
 			pending = pending[:0]
 		}
 	}
-	v.seal(pending)
+	v.seal(sealers, pending)
 
 	runtime.GC()
 	runtime.ReadMemStats(&after)
@@ -499,8 +516,9 @@ func TestCheckpointV5CorruptionDetected(t *testing.T) {
 // TestSealedSnapStructuralCorruption mutates a parsed v5 snapshot past
 // the checksum — a truncated arena, a parent ref aimed past every
 // restored entry or at a live entry restored after its child, claim
-// keys out of order or at the minted base — and requires restoreSealed
-// to reject rather than mis-decode.
+// keys out of order or at the minted base, a delta mask bit past the
+// encoding — and requires restoreSealed to reject rather than
+// mis-decode.
 func TestSealedSnapStructuralCorruption(t *testing.T) {
 	dir := t.TempDir()
 	sealedPath := filepath.Join(dir, "sealed")
@@ -561,6 +579,22 @@ func TestSealedSnapStructuralCorruption(t *testing.T) {
 		}
 		t.Fatal("fixture has no live parent to corrupt")
 	})
+
+	// A delta record's mask naming a byte past its encoding, in a file
+	// whose checksum was recomputed: the set-bit decoder would index
+	// past the encoding on the first lookup reaching that record, so the
+	// restore must refuse it, and a resume must leave the file intact.
+	strayPath := filepath.Join(dir, "stray")
+	stray := strayMaskBitSnapshot(t, strayPath)
+	check("stray-mask-bit", strayPath, func(*sealedSnap) {})
+	_, err := CheckTransitionInvariant(diamondModel{k: 20}, func(from, to State) bool { return true },
+		Options{ResumePath: strayPath, CheckpointPath: strayPath})
+	if !errors.Is(err, ErrBadCheckpoint) {
+		t.Errorf("stray-mask-bit: resume returned %v, want ErrBadCheckpoint", err)
+	}
+	if after, err := os.ReadFile(strayPath); err != nil || !bytes.Equal(after, stray) {
+		t.Errorf("stray-mask-bit: resume modified or removed the rejected file (err %v)", err)
+	}
 }
 
 // TestResumeSealedUnderNoSeal: a sealed search's snapshot resumes with
@@ -632,4 +666,219 @@ func TestNoSealInterruptResume(t *testing.T) {
 				st.SealedStates, st.SealedArenaBytes, sealedStats.SealedStates, sealedStats.SealedArenaBytes)
 		}
 	}
+}
+
+// wideModel is a layered population for seal tests: level l holds up to
+// width+l·width/8 states, each stepping to three states of the next
+// level, so every level's claims spread over all 64 shards, same-level
+// duplicates exercise min-key takeovers, and the live tier grows and
+// shrinks by whole entry chunks at each seal.
+type wideModel struct{ width, depth int }
+
+func (m wideModel) levelWidth(l int) int { return m.width + l*m.width/8 }
+
+func (m wideModel) state(l, i int) State {
+	return State([]byte{'w', 'd', byte(l), byte(i >> 16), byte(i >> 8), byte(i), '/', 'p', 'a', 'd'})
+}
+
+func (m wideModel) Initial() []State { return []State{m.state(0, 0), m.state(0, 1)} }
+
+func (m wideModel) Successors(s State) []State {
+	l := int(s[2])
+	if l+1 >= m.depth {
+		return nil
+	}
+	i := int(s[3])<<16 | int(s[4])<<8 | int(s[5])
+	w := m.levelWidth(l + 1)
+	out := make([]State, 0, 6)
+	for j := 0; j < 6; j++ {
+		out = append(out, m.state(l+1, (i*6+j)%w))
+	}
+	return out
+}
+
+// TestSealFootprintAcrossWorkers: the seal runs its per-shard
+// migrations on the search's workers, so the resident ledger is folded
+// from per-shard accumulators. The footprint — peak and final resident
+// bytes, sealed states, arena and index bytes — and the bytes of a
+// checkpoint written at an interrupt must not depend on the worker
+// count, and the resident and peak counters must equal a one-goroutine
+// seal's to the byte. The fixture seals into all 64 shards over more
+// than ten levels, and at least one seal both grows a sealed index and
+// releases a live entry chunk (checked directly on the visited set
+// first).
+func TestSealFootprintAcrossWorkers(t *testing.T) {
+	sealInParallel(t) // the fixture's levels are all under parallelSealMin
+	m := wideModel{width: 2400, depth: 13}
+	inv := func(from, to State) bool { return true }
+
+	// Resident and peak bytes after each level's seal, as a seal that
+	// migrates the shards one after another on a single goroutine,
+	// sampling the peak as it goes, leaves them.
+	serialSeal := [][2]int64{
+		{49472, 49472}, {51456, 51456}, {61308, 61308}, {210416, 210416},
+		{413134, 570488}, {536270, 873934}, {612772, 1044597}, {641966, 1071981},
+		{672482, 1101204}, {1098378, 1139426}, {1133656, 1557687}, {1170008, 1592979},
+		{963184, 1592979},
+	}
+
+	// On the visited set itself: claim each level in key order, seal
+	// the previous one on w workers, and check the counters and shards.
+	for _, w := range workerCounts {
+		v := newVisitedSet(1 << 20)
+		pcs := make([]probeCounter, w)
+		var level []uint32
+		for i, s := range m.Initial() {
+			_, ref := v.claim([]byte(s), hashBytes([]byte(s)), 0, uint64(i), false, 0, &pcs[0])
+			level = append(level, ref)
+		}
+		base := uint64(1) << keySuccBits
+		growAndRelease := false
+		l := 0
+		for ; len(level) > 0; l++ {
+			var next []uint32
+			for i, ref := range level {
+				for j, succ := range m.Successors(v.stateOf(ref)) {
+					enc := []byte(succ)
+					st, nref := v.claim(enc, hashBytes(enc), ref, claimKey(base, i, j), true, base, &pcs[0])
+					if st == claimNew {
+						next = append(next, nref)
+					}
+				}
+			}
+			base += uint64(len(level)) << keySuccBits
+			var idxBefore [numShards]int
+			var chunksBefore [numShards]int
+			for s := range v.shards {
+				idxBefore[s] = len(v.shards[s].sealed.index)
+				for c := range v.shards[s].chunks {
+					if v.shards[s].chunks[c].Load() != nil {
+						chunksBefore[s]++
+					}
+				}
+			}
+			v.seal(pcs, level, next)
+			if l < len(serialSeal) {
+				if got := [2]int64{v.resident.Load(), v.peak.Load()}; got != serialSeal[l] {
+					t.Errorf("workers=%d level %d: resident/peak %v, serial seal %v", w, l, got, serialSeal[l])
+				}
+			}
+			grew, released := false, false
+			for s := range v.shards {
+				grew = grew || len(v.shards[s].sealed.index) > idxBefore[s] && idxBefore[s] > 0
+				n := 0
+				for c := range v.shards[s].chunks {
+					if v.shards[s].chunks[c].Load() != nil {
+						n++
+					}
+				}
+				released = released || n < chunksBefore[s]
+			}
+			growAndRelease = growAndRelease || grew && released
+			level = next
+		}
+		if l != len(serialSeal) {
+			t.Fatalf("workers=%d: fixture sealed %d levels, want %d", w, l, len(serialSeal))
+		}
+		for s := range v.shards {
+			if v.shards[s].sealed.count == 0 {
+				t.Fatalf("workers=%d: fixture seals nothing into shard %d", w, s)
+			}
+		}
+		if !growAndRelease {
+			t.Fatalf("workers=%d: fixture has no seal that both grows a sealed index and releases an entry chunk", w)
+		}
+	}
+
+	type footprint struct {
+		peak, resident, sealed, arena, index int64
+		levels                               int
+	}
+	// The search's footprint, pinned to the serial seal's figures.
+	want := footprint{peak: 1592979, resident: 963184, sealed: 42710,
+		arena: 275056, index: 524288, levels: 13}
+	var wantCkpt []byte
+	for i, w := range workerCounts {
+		var st Stats
+		res, err := CheckTransitionInvariant(m, inv, Options{Workers: w, Stats: func(s Stats) { st = s }})
+		if err != nil || !res.Holds {
+			t.Fatalf("workers=%d: res=%+v err=%v", w, res, err)
+		}
+		got := footprint{st.PeakResidentBytes, st.ResidentBytes, st.SealedStates,
+			st.SealedArenaBytes, st.SealedIndexBytes, st.Levels}
+		if got != want {
+			t.Errorf("workers=%d: footprint %+v, serial seal %+v", w, got, want)
+		}
+
+		path := filepath.Join(t.TempDir(), "cp")
+		ctx, cancel := context.WithCancel(context.Background())
+		_, err = CheckTransitionInvariant(m, inv, Options{Workers: w, Context: ctx,
+			CheckpointPath: path, Progress: cancelAfterLevels(9, cancel)})
+		cancel()
+		if !errors.Is(err, ErrInterrupted) {
+			t.Fatalf("workers=%d: interrupted run: %v", w, err)
+		}
+		ckpt, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			wantCkpt = ckpt
+		} else if !bytes.Equal(ckpt, wantCkpt) {
+			t.Errorf("workers=%d: interrupt checkpoint differs from the first run's (%d vs %d bytes)",
+				w, len(ckpt), len(wantCkpt))
+		}
+	}
+}
+
+// strayMaskBitSnapshot writes a sealed v5 snapshot to path with one
+// delta record's last mask byte carrying a bit at or past the record's
+// encoding length, then recomputes the file checksum so the envelope
+// still validates. It returns the patched file bytes.
+func strayMaskBitSnapshot(t testing.TB, path string) []byte {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err := CheckTransitionInvariant(diamondModel{k: 20}, func(from, to State) bool { return true },
+		Options{Context: ctx, CheckpointPath: path, Progress: cancelAfterLevels(8, cancel)})
+	cancel()
+	if !errors.Is(err, ErrInterrupted) {
+		t.Fatalf("fixture snapshot: %v", err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s5, err := readSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si := range s5.shards {
+		sn := &s5.shards[si]
+		if sn.count == 0 || bytes.Count(data, sn.blob) != 1 {
+			continue
+		}
+		ss := &sealedShard{count: sn.count, blob: sn.blob, restarts: sn.restarts}
+		var d sealedDecoder
+		d.startAt(ss, 0, true)
+		for d.ord < ss.count {
+			if d.ord%sealedRestartEvery != 0 {
+				_, n := binary.Varint(ss.blob[d.off:])
+				encLen, m := binary.Uvarint(ss.blob[d.off+n:])
+				if int(encLen) == len(d.enc) && encLen%8 != 0 {
+					last := d.off + n + m + int(encLen+7)/8 - 1
+					data[bytes.Index(data, sn.blob)+last] |= 0x80
+					sum := fnv.New64a()
+					sum.Write(data[:len(data)-8])
+					binary.BigEndian.PutUint64(data[len(data)-8:], sum.Sum64())
+					if err := os.WriteFile(path, data, 0o644); err != nil {
+						t.Fatal(err)
+					}
+					return data
+				}
+			}
+			d.step()
+		}
+	}
+	t.Fatal("fixture snapshot has no delta record with spare mask bits")
+	return nil
 }

@@ -23,8 +23,9 @@ package mc
 // which is what crash recovery needs.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // NumShards is the visited-set shard count. The distributed layer
@@ -89,8 +90,11 @@ const (
 // by design, process-level parallelism being the point.
 type ShardStore struct {
 	v       *visitedSet
-	claimed []uint32 // refs admitted since the last DrainLevel
-	pc      probeCounter
+	claimed []uint32   // refs admitted since the last DrainLevel
+	keyed   []keyedRef // DrainLevel's sort scratch, reused level over level
+	// pc is the store's one worker: its seals run single-threaded, as
+	// does everything else here.
+	pc [1]probeCounter
 
 	// One-entry parent-intern cache: successive claims overwhelmingly
 	// share a parent (a mesh batch group is one parent's successors),
@@ -139,7 +143,7 @@ func (s *ShardStore) Claim(enc []byte, key uint64, parentEnc []byte, hasParent b
 			s.lastParent, s.lastIdx, s.haveLast = canon, idx, true
 		}
 	}
-	st, ref := s.v.claim(enc, hashBytes(enc), parent, key, hasParent, levelBase, &s.pc)
+	st, ref := s.v.claim(enc, hashBytes(enc), parent, key, hasParent, levelBase, &s.pc[0])
 	switch st {
 	case claimNew:
 		s.claimed = append(s.claimed, ref)
@@ -154,14 +158,23 @@ func (s *ShardStore) Claim(enc []byte, key uint64, parentEnc []byte, hasParent b
 // DrainLevel returns the states admitted since the previous drain,
 // ordered by their final (post-takeover) claim keys — the worker's
 // contribution to the next frontier — plus those keys, aligned.
+//
+// Each key is loaded once and the (key, ref) pairs are sorted, as
+// nextFrontier does; keys are unique, so the order is the same as
+// sorting refs by key.
 func (s *ShardStore) DrainLevel() ([]uint32, []uint64) {
 	refs := s.claimed
 	s.claimed = nil
-	sort.Slice(refs, func(i, j int) bool { return s.v.keyOf(refs[i]) < s.v.keyOf(refs[j]) })
-	keys := make([]uint64, len(refs))
-	for i, r := range refs {
-		keys[i] = s.v.keyOf(r)
+	keyed := s.keyed[:0]
+	for _, r := range refs {
+		keyed = append(keyed, keyedRef{key: s.v.keyOf(r), ref: r})
 	}
+	slices.SortFunc(keyed, func(a, b keyedRef) int { return cmp.Compare(a.key, b.key) })
+	keys := make([]uint64, len(refs))
+	for i := range keyed {
+		refs[i], keys[i] = keyed[i].ref, keyed[i].key
+	}
+	s.keyed = keyed
 	return refs, keys
 }
 
@@ -182,7 +195,7 @@ func (s *ShardStore) SealLevel(refs []uint32, rewrite ...[]uint32) {
 	if len(s.claimed) > 0 {
 		rewrite = append(rewrite, s.claimed)
 	}
-	s.v.seal(refs, rewrite...)
+	s.v.seal(s.pc[:], refs, rewrite...)
 }
 
 // KeyOf returns the state's current (winning) claim key.
@@ -310,7 +323,7 @@ func (s *ShardStore) mergeClaims(cp *Checkpoint) ([]uint32, error) {
 			parent = idx
 		}
 		enc := []byte(e.State)
-		st, ref := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc)
+		st, ref := v.claim(enc, hashBytes(enc), parent, 0, e.HasParent, 1, &s.pc[0])
 		switch st {
 		case claimNew:
 			refs = append(refs, ref)
