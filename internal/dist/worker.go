@@ -611,6 +611,12 @@ func (w *worker) handleExpand(payload []byte) error {
 		succs := w.exp.Successors(sb)
 		counts[i] = uint32(len(succs))
 		w.expanded += uint64(len(succs))
+		if mc.TooManySuccessors(len(succs)) {
+			// Past what claim keys can index: report the store full, so
+			// the coordinator stops the search with ErrStateLimit.
+			w.full = true
+			continue
+		}
 		touched = touched[:0]
 		for j, succ := range succs {
 			key := mc.ClaimKey(m.Base, int(slot), j)

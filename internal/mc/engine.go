@@ -73,12 +73,16 @@ const (
 	keySuccMask = 1<<keySuccBits - 1
 )
 
+// claimKey mints the key of successor succ of frontier slot slot. succ
+// must be below maxSuccessors; runLevel checks that once per state.
 func claimKey(base uint64, slot, succ int) uint64 {
-	if succ > keySuccMask {
-		panic(fmt.Sprintf("mc: state with more than %d successors", keySuccMask))
-	}
 	return base + uint64(slot)<<keySuccBits + uint64(succ)
 }
+
+// maxSuccessors is the most successors one state may have: a claim key
+// indexes them in keySuccBits bits. It is a variable only so tests can
+// reach the limit with a small model.
+var maxSuccessors = keySuccMask + 1
 
 // stealChunk is the number of frontier slots a worker takes per grab of
 // the level cursor — large enough to amortize the atomic add, small
@@ -102,6 +106,11 @@ type levelAcc struct {
 	trBest  *violation // lowest-keyed transition violation seen
 	stViol  []uint32   // newly admitted states that fail the state invariant
 	full    bool       // the worker hit the state budget
+	// Capacity limits: a state with more than maxSuccessors successors
+	// (whose successors were then skipped), and a claim refused because
+	// the state's shard was full.
+	succOverflow bool
+	shardFull    bool
 }
 
 // levelScratch is the per-search reusable exploration state: worker
@@ -210,12 +219,18 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 		acc.stViol = acc.stViol[:0]
 		acc.trBest = nil
 		acc.full = false
+		acc.succOverflow = false
+		acc.shardFull = false
 	}
 	expand := func(acc *levelAcc, exp Expander, can CanonicalExpander, pc *probeCounter, i int) {
 		ref := frontier[i]
 		sb := v.bytesOf(ref)
 		succs := exp.Successors(sb)
 		out.counts[i] = len(succs)
+		if len(succs) > maxSuccessors {
+			acc.succOverflow = true
+			return
+		}
 		for j, succ := range succs {
 			key := claimKey(base, i, j)
 			// The invariant sees the raw successor — canonicalization may
@@ -242,6 +257,8 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 				}
 			case claimFull:
 				acc.full = true
+			case claimShardFull:
+				acc.shardFull = true
 			}
 		}
 	}
@@ -281,6 +298,25 @@ func runLevel(sc *levelScratch, v *visitedSet, frontier []uint32, base uint64,
 		out.claimed += len(out.accs[i].claimed)
 	}
 	return out
+}
+
+// capacityErr reports a capacity limit the level hit, as an error that
+// wraps ErrStateLimit, or nil. The level is incomplete then, so the
+// search stops before judging it; a checkpoint on disk is left as it is.
+func (out levelOut) capacityErr(depth int32) error {
+	for i := range out.accs {
+		if out.accs[i].succOverflow {
+			return fmt.Errorf("mc: a state at depth %d has more than %d successors, the most a claim key can index: %w",
+				depth, maxSuccessors, ErrStateLimit)
+		}
+	}
+	for i := range out.accs {
+		if out.accs[i].shardFull {
+			return fmt.Errorf("mc: a visited-set shard reached %d states, the most a ref can address, at depth %d: %w",
+				shardOrdinalLimit, depth, ErrStateLimit)
+		}
+	}
+	return nil
 }
 
 // reduceViolation picks the level's winning violation: the lowest claim
@@ -548,6 +584,9 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 			switch st {
 			case claimFull:
 				return exhausted(m, v, res, stInv, trInv, opts)
+			case claimShardFull:
+				return res, fmt.Errorf("mc: a visited-set shard reached %d states, the most a ref can address: %w",
+					shardOrdinalLimit, ErrStateLimit)
 			case claimDup:
 				continue
 			}
@@ -585,6 +624,10 @@ func checkSearch(m Model, stInv StateInvariantBytes, trInv TransitionInvariantBy
 		lvl := runLevel(sc, v, frontier, nextBase, stInv, trInv, opts.Workers)
 		if met != nil {
 			met.levels++
+		}
+		if err := lvl.capacityErr(depth + 1); err != nil {
+			res.StatesExplored = int(v.count.Load())
+			return res, err
 		}
 
 		if viol := reduceViolation(v, lvl); viol != nil {

@@ -32,7 +32,6 @@ package mc
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"math/bits"
 	"runtime"
 	"sync"
@@ -362,10 +361,16 @@ func (v *visitedSet) keyFields(enc []byte, scratch *[4]byte) (nfield uint64, kb 
 
 // Claim outcomes.
 const (
-	claimNew  = iota // state admitted for the first time
-	claimDup         // state already visited (possibly re-keyed)
-	claimFull        // state budget exhausted; state NOT admitted
+	claimNew       = iota // state admitted for the first time
+	claimDup              // state already visited (possibly re-keyed)
+	claimFull             // state budget exhausted; state NOT admitted
+	claimShardFull        // the state's shard is at shardOrdinalLimit; state NOT admitted
 )
+
+// shardOrdinalLimit is the entry count at which a shard refuses new
+// states: maxOrdinal, the most ordinals a ref can address. It is a
+// variable only so tests can reach the limit with a small search.
+var shardOrdinalLimit uint32 = maxOrdinal
 
 // claim tries to admit enc with the given parent ref and claim key. h is
 // enc's 64-bit FNV-1a hash, computed once by the generating worker: the
@@ -438,9 +443,10 @@ func (v *visitedSet) claim(enc []byte, h uint64, parent uint32, key uint64,
 				return claimFull, 0
 			}
 			ord := sh.ordCount
-			if ord >= maxOrdinal {
+			if ord >= shardOrdinalLimit {
+				v.count.Add(-1)
 				sh.mu.Unlock()
-				panic(fmt.Sprintf("mc: visited-set shard exceeds %d entries", maxOrdinal))
+				return claimShardFull, 0
 			}
 			e := v.entrySlotLocked(sh, ord-sh.liveBase)
 			copy(e.data[:], kb)

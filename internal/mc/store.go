@@ -48,8 +48,13 @@ const KeyMax = keyMask
 
 // ClaimKey mints the claim key for successor succ of frontier slot
 // slot under a level's base — the engine's serial examination order,
-// exported so the distributed layer mints identical keys.
+// exported so the distributed layer mints identical keys. A state's
+// successor count must pass TooManySuccessors first.
 func ClaimKey(base uint64, slot, succ int) uint64 { return claimKey(base, slot, succ) }
+
+// TooManySuccessors reports whether a state with n successors has more
+// than claim keys can index; the engine then stops with ErrStateLimit.
+func TooManySuccessors(n int) bool { return n > maxSuccessors }
 
 // ShardOf maps a state hash to its shard index.
 func ShardOf(h uint64) uint32 { return uint32(h) & (numShards - 1) }
@@ -79,7 +84,8 @@ const (
 	// ClaimDup: the state was already visited (its key may have been
 	// lowered by a same-level takeover).
 	ClaimDup
-	// ClaimFull: the state budget is exhausted; the state was NOT
+	// ClaimFull: the state budget is exhausted, or the state's shard
+	// holds as many states as refs can address; the state was NOT
 	// admitted.
 	ClaimFull
 )
@@ -150,7 +156,7 @@ func (s *ShardStore) Claim(enc []byte, key uint64, parentEnc []byte, hasParent b
 		return ClaimNew, ref
 	case claimDup:
 		return ClaimDup, 0
-	default:
+	default: // claimFull, claimShardFull
 		return ClaimFull, 0
 	}
 }
@@ -329,6 +335,8 @@ func (s *ShardStore) mergeClaims(cp *Checkpoint) ([]uint32, error) {
 			refs = append(refs, ref)
 		case claimFull:
 			return nil, fmt.Errorf("mc: merge over the %d-state budget: %w", v.max, ErrStateLimit)
+		case claimShardFull:
+			return nil, fmt.Errorf("mc: merge past a shard's %d-state capacity: %w", shardOrdinalLimit, ErrStateLimit)
 		default:
 			return nil, fmt.Errorf("%w: merged snapshot overlaps the store", ErrCheckpointCorrupt)
 		}

@@ -47,6 +47,8 @@ package model
 // E1 matrix numbers are reported in oracle mode.
 
 import (
+	"slices"
+
 	"ttastar/internal/mc"
 )
 
@@ -96,15 +98,13 @@ func (m *Model) Canonicalize(enc mc.State) mc.State {
 const ffCap = 1024
 
 // Canonicalize rewrites enc in place to its class representative. It
-// works in the packed domain wherever the output allows: the dead tail
-// is one masked overwrite with the Model's precomputed empty tail, and
-// a frozen node's 20-bit record is overwritten with the init record —
-// neither decodes anything. Only all-{listen, cold_start} states, whose
-// node records the fast-forward rewrites, are decoded, into the
-// Expander's decode scratch; so like Successors it performs no
-// steady-state allocation. enc must not alias a state the caller still
-// needs in concrete form. Safe between Successors calls on the same
-// Expander (the scratch is dead at that point), not during them.
+// works in the packed domain throughout: the dead tail is one masked
+// overwrite with the Model's precomputed empty tail, a frozen node's
+// 20-bit record is overwritten with the init record, and the
+// fast-forward of an all-{listen, cold_start} state steps the node
+// records as words and writes back the ones that moved. Nothing is
+// decoded into structs and nothing is allocated. enc must not alias a
+// state the caller still needs in concrete form.
 func (e *Expander) Canonicalize(enc []byte) {
 	m := e.m
 	if !m.Reducible() {
@@ -124,17 +124,19 @@ func (e *Expander) Canonicalize(enc []byte) {
 		}
 	}
 	if allLC {
-		m.decodeInto(enc, &e.s)
-		for i, nd := range e.fastForward(&e.s).Nodes {
-			putNodeBits(enc, i, nodeWord(&nd))
+		var words chainWords
+		for i := 0; i < n; i++ {
+			words[i] = nodeBits(enc, i)
+		}
+		ff := m.fastForward(words)
+		for i := 0; i < n; i++ {
+			if ff[i] != words[i] {
+				putNodeBits(enc, i, ff[i])
+			}
 		}
 	}
 	m.tail.put(enc)
 }
-
-// initWord is the packed record of a freshly initialized node — the
-// freeze → init collapse's image of every frozen record.
-var initWord = nodeWord(&NodeState{Phase: PhaseInit})
 
 // emptyTail is a Model's packed empty coupler/out-of-slot tail: FrameNone
 // with id 0 per coupler, out-of-slot count 0, zero padding. It covers
@@ -174,15 +176,18 @@ func (t *emptyTail) put(enc []byte) {
 	}
 }
 
+// chainWords holds a silent chain state's node records, by value;
+// entries past the model's node count stay zero.
+type chainWords [maxNodes]uint32
+
 // fastForward chases the deterministic masked chain from the
-// all-{listen, cold_start} state cur until it exits the region —
-// returning the last in-region state, whose exit transition the checker
-// then explores normally — or, when the chain settles into an in-region
-// cycle, returns the cycle's minimal-encoding state. Both outcomes are
-// fixed points of the procedure, which makes Canonicalize idempotent.
-// Only cur's node records are read or written (the tail is rewritten by
-// the caller). cur must be one of e.s/e.next; the returned pointer is
-// one of the Expander's four state scratches.
+// all-{listen, cold_start} node records cur (entries past the model's
+// node count are zero) until it exits the region — returning the last
+// in-region records, whose exit transition the checker then explores
+// normally — or, when the chain settles into an in-region cycle, returns
+// the cycle's minimal-encoding records. Both outcomes are fixed points of
+// the procedure, which makes Canonicalize idempotent. The tail is dead
+// on the chain, so the walk carries node records only, by value.
 //
 // Most of a silent chain is plain steps: nobody sends, so listeners
 // count their timeouts down and cold starters advance their slots, and
@@ -192,45 +197,37 @@ func (t *emptyTail) put(enc []byte) {
 // exact, and Brent's cycle detection runs on the jumped orbit — a
 // subsequence of the stepwise one, so a cycle it finds is the chain's
 // cycle. The cycle's minimum is then found by single-stepping the cycle
-// back to its start, because a jump would skip candidates.
-func (e *Expander) fastForward(cur *State) *State {
-	m := e.m
-	spare := &e.next
-	if cur == spare {
-		spare = &e.s
-	}
-	n := len(cur.Nodes)
-	growNodes(spare, n)
-	growNodes(&e.ffTort, n)
-	growNodes(&e.ffMin, n)
-
+// back to its start, because a jump would skip candidates. Records
+// compare in encoding order: the encoding is the node words back to
+// back, MSB-first, so comparing word by word compares the node bits.
+func (m *Model) fastForward(cur chainWords) chainWords {
 	// Brent's cycle detection over the jumped chain: the tortoise holds
 	// a checkpoint at the last power of two, the chain itself is the
 	// hare. An exit at any point wins immediately. A jump is clamped at
 	// ffCap, so a truncated walk stops on the state the stepwise walk
 	// would have stopped on.
-	tort := &e.ffTort
-	copy(tort.Nodes, cur.Nodes)
+	tort := cur
 	lam, power := 0, 1
 	for steps := 0; ; {
-		if k := min(m.silentStretch(cur.Nodes), ffCap-steps); k > 0 {
-			m.jumpSilent(cur.Nodes, k)
+		if k := min(m.silentStretch(&cur), ffCap-steps); k > 0 {
+			m.jumpSilent(&cur, k)
 			steps += k
 		}
 		if steps >= ffCap {
 			return cur
 		}
-		if !m.stepSilentChain(cur, spare) {
+		next := cur
+		if !m.silentStep(&next) {
 			return cur // chain exits the region: keep the last state inside
 		}
 		steps++
-		cur, spare = spare, cur
+		cur = next
 		lam++
-		if sameNodes(cur, tort) {
+		if cur == tort {
 			break // cur lies on the chain's cycle
 		}
 		if lam == power {
-			copy(tort.Nodes, cur.Nodes)
+			tort = cur
 			power *= 2
 			lam = 0
 		}
@@ -242,42 +239,40 @@ func (e *Expander) fastForward(cur *State) *State {
 	// sequence of node words. A detected cycle stays in-region, and it
 	// is at most ffCap steps long, or the walk above could not have
 	// closed it.
-	best := &e.ffMin
-	copy(best.Nodes, cur.Nodes)
+	best := cur
 	for i := 0; i < ffCap; i++ {
-		m.stepSilentChain(cur, spare)
-		cur, spare = spare, cur
-		if sameNodes(cur, tort) {
+		m.silentStep(&cur)
+		if cur == tort {
 			return best
 		}
-		if lessNodes(cur.Nodes, best.Nodes) {
-			copy(best.Nodes, cur.Nodes)
+		if slices.Compare(cur[:], best[:]) < 0 {
+			best = cur
 		}
 	}
 	panic("model: fast-forward cycle did not return to its start")
 }
 
 // silentStretch returns how many plain steps the silent chain takes
-// from nodes: steps in which no node sends, no listener times out and
-// no cold starter reaches its own slot, so each listener's Timeout
-// drops by one, each cold starter's Slot advances by one, and nothing
-// else changes (counters are judged null on a silent bus, and BigBang
+// from the records: steps in which no node sends, no listener times out
+// and no cold starter reaches its own slot, so each listener's timeout
+// drops by one, each cold starter's slot advances by one, and nothing
+// else changes (counters are judged null on a silent bus, and big_bang
 // and the phases hold). A listener with timeout t has t plain steps
 // left; a cold starter d slots short of its own has d−1. The result is
 // 0 when some cold starter holds its own slot — its frame is on the bus.
-func (m *Model) silentStretch(nodes []NodeState) int {
+func (m *Model) silentStretch(words *chainWords) int {
 	k := ffCap
-	for i := range nodes {
-		nd := &nodes[i]
-		if nd.Phase == PhaseListen {
-			k = min(k, int(nd.Timeout))
+	for i, w := range words[:m.cfg.Nodes] {
+		if wordPhase(w) == PhaseListen {
+			k = min(k, int(w&timeoutMask))
 			continue
 		}
 		own := uint8(i + 1)
-		if nd.Slot == own {
+		slot := wordSlot(w)
+		if slot == own {
 			return 0
 		}
-		k = min(k, m.slotsUntil(nd.Slot, own)-1)
+		k = min(k, m.slotsUntil(slot, own)-1)
 	}
 	return k
 }
@@ -294,82 +289,52 @@ func (m *Model) slotsUntil(s, own uint8) int {
 	return int(own) + m.cfg.Nodes - int(s)
 }
 
-// jumpSilent applies k ≥ 1 plain steps (see silentStretch) to nodes in
-// one update.
-func (m *Model) jumpSilent(nodes []NodeState, k int) {
+// jumpSilent applies k ≥ 1 plain steps (see silentStretch) to the
+// records in one update.
+func (m *Model) jumpSilent(words *chainWords, k int) {
 	n := m.cfg.Nodes
-	for i := range nodes {
-		nd := &nodes[i]
-		if nd.Phase == PhaseListen {
-			nd.Timeout -= uint8(k)
+	for i, w := range words[:n] {
+		if wordPhase(w) == PhaseListen {
+			words[i] = w - uint32(k) // timeout ≥ k: the low field cannot borrow
 			continue
 		}
-		s := int(nd.Slot)
+		s := int(wordSlot(w))
 		if s > n {
 			s = 0 // nextSlot wraps an out-of-range slot to 1, as it does 0
 		}
-		nd.Slot = uint8((s-1+k)%n + 1)
+		words[i] = w&^slotMask | uint32((s-1+k)%n+1)<<shiftSlot
 	}
 }
 
-// growNodes ensures s.Nodes holds n records.
-func growNodes(s *State, n int) {
-	if cap(s.Nodes) < n {
-		s.Nodes = make([]NodeState, n)
-	}
-	s.Nodes = s.Nodes[:n]
-}
-
-// sameNodes reports whether two states agree on their node records —
-// full state equality on the fast-forward chain, whose tails are dead.
-func sameNodes(a, b *State) bool {
-	for i := range a.Nodes {
-		if a.Nodes[i] != b.Nodes[i] {
+// silentStep advances all-{listen, cold_start} node records by one slot
+// under the fault-free assignment, in place, and reports whether they
+// are still inside the all-{listen, cold_start} region. It stops at the
+// first node that leaves the region, so on false the records are part
+// stepped and the caller discards them. It is the packed
+// node step with the fault-free channel summary: every channel carries
+// the nominal frame, and one of them summarizes them all. By the
+// fault-invisibility lemma (see the package comment above and
+// TestSilentRegionFaultInvisibility) this is the unique masked successor
+// of the whole fault menu.
+func (m *Model) silentStep(words *chainWords) bool {
+	n := m.cfg.Nodes
+	nominal, activity := m.nominalWords(words[:n])
+	var cs chanSum
+	cs.add(nominal, activity)
+	for i := 0; i < n; i++ {
+		// stepWord's dispatch, narrowed to the region's two phases.
+		w, own := words[i], uint8(i+1)
+		if wordPhase(w) == PhaseListen {
+			w = m.stepListenWord(w, own, &cs)
+		} else {
+			w = m.stepOperationalWord(w, PhaseColdStart, own, &cs)
+		}
+		if p := wordPhase(w); p != PhaseListen && p != PhaseColdStart {
 			return false
 		}
+		words[i] = w
 	}
 	return true
-}
-
-// lessNodes reports whether a's node records pack before b's: the
-// encoding is the node words back to back, MSB-first, so comparing word
-// by word is comparing the encodings' node bits.
-func lessNodes(a, b []NodeState) bool {
-	for i := range a {
-		if wa, wb := nodeWord(&a[i]), nodeWord(&b[i]); wa != wb {
-			return wa < wb
-		}
-	}
-	return false
-}
-
-// stepSilentChain advances an all-{listen, cold_start} state by one slot
-// under the fault-free assignment, writing the successor's node records
-// into dst (its tail is left as it was: the chain's tail is dead), and
-// reports whether the successor is still inside the all-{listen,
-// cold_start} region. By the fault-invisibility lemma (see the package
-// comment above and TestSilentRegionFaultInvisibility) this is the
-// unique masked successor of the whole fault menu.
-func (m *Model) stepSilentChain(src, dst *State) bool {
-	nominal, activity := m.nominalContent(src)
-	var ch [MaxCouplers]Content
-	for c := 0; c < m.cfg.Couplers; c++ {
-		ch[c] = nominal
-	}
-	inRegion := true
-	for i := range src.Nodes {
-		own := uint8(i + 1)
-		d := &dst.Nodes[i]
-		if src.Nodes[i].Phase == PhaseListen {
-			*d = m.stepListen(src.Nodes[i], own, ch)
-		} else {
-			*d = m.stepOperational(src.Nodes[i], own, ch, activity)
-		}
-		if d.Phase != PhaseListen && d.Phase != PhaseColdStart {
-			inRegion = false
-		}
-	}
-	return inRegion
 }
 
 // reducedFaSignature is faSignature under the reduction's observable

@@ -198,7 +198,31 @@ func putNodeBits(enc []byte, i int, w uint32) {
 	enc[o+2] = byte(w)
 }
 
-// nodeFromWord unpacks a 20-bit node record — the inverse of nodeWord.
+// readTail reads the coupler/out-of-slot tail straight out of a packed
+// encoding as one right-aligned word: the couplers' 6-bit buffered
+// frames in coupler order, then the 8-bit out-of-slot counter. The tail
+// starts on a nibble boundary right after the node records.
+func (m *Model) readTail(enc []byte) uint32 {
+	bit := bitsPerNode * m.cfg.Nodes
+	var acc uint64
+	for _, b := range enc[bit>>3:] {
+		acc = acc<<8 | uint64(b)
+	}
+	width := bitsPerCoupler*m.cfg.Couplers + bitsOOS
+	pad := (len(enc)-bit>>3)*8 - bit&7 - width
+	return uint32(acc>>pad) & (1<<width - 1)
+}
+
+// bufferedFrame reads coupler c's buffered frame out of a packed tail.
+func (m *Model) bufferedFrame(tail uint32, c int) Content {
+	v := tail >> (bitsOOS + bitsPerCoupler*(m.cfg.Couplers-1-c))
+	return Content{Kind: FrameKind(v >> bitsBufID & (1<<bitsKind - 1)), ID: uint8(v & (1<<bitsBufID - 1))}
+}
+
+// tailOOS reads the out-of-slot counter out of a packed tail.
+func tailOOS(tail uint32) uint8 { return uint8(tail) }
+
+// nodeFromWord unpacks a 20-bit node record.
 func nodeFromWord(w uint32) NodeState {
 	return NodeState{
 		Phase:   Phase(w >> (bitsPerNode - bitsPhase)),

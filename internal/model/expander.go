@@ -2,22 +2,27 @@ package model
 
 // Expander is the allocation-free successor generator behind mc's hot
 // path. Each exploration worker owns one; every piece of working storage
-// a single expansion needs — the decoded state, the per-node choice
-// lists, the successor accumulator, the packed output buffer and the
-// dedup index — lives in the Expander and is reused call over call, so a
-// steady-state Successors call performs no heap allocation at all
-// (asserted by the AllocsPerRun regression tests).
+// a single expansion needs — the source state's node words and tail,
+// the fault menu, the per-node choice words, the packed output buffer
+// and the dedup index — lives in the Expander and is reused call over
+// call, so a steady-state Successors call performs no heap allocation at
+// all (asserted by the AllocsPerRun regression tests).
+//
+// Nothing is decoded into structs. The source state's 20-bit node
+// records are read straight out of the encoding (nodeBits) and its tail
+// as one word (readTail); the nominal frame, the fault menu and the
+// channel contents are computed from those, and each node's choices are
+// produced by the packed node step (appendChoiceWords) as the 20-bit
+// words they contribute to the successor encodings.
 //
 // Three observations about the enumeration make it fast:
 //
 //   - A node choice always contributes the same 20 bits to the packed
 //     encoding wherever it lands, and the coupler/out-of-slot tail is
-//     fixed per fault assignment. So each choice is pre-packed once into
-//     a 20-bit word, and the cartesian recursion threads a tiny
-//     by-value encoder state (byte position + bit accumulator) instead
-//     of re-running the field-by-field bit writer for every emitted
-//     state — the per-emit cost drops from ~29 put calls to one word
-//     push per node plus the tail.
+//     fixed per fault assignment. So the cartesian recursion threads a
+//     tiny by-value encoder state (byte position + bit accumulator) and
+//     pushes one choice word per node plus the tail, instead of
+//     re-running the field-by-field bit writer for every emitted state.
 //   - Distinct fault assignments often produce identical channel
 //     contents (a silenced empty channel IS the empty channel; a replay
 //     of the buffered frame can equal the nominal relay). Identical
@@ -39,6 +44,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"ttastar/internal/mc"
 )
@@ -57,26 +63,22 @@ type Expander struct {
 	nc       int   // the model's coupler count
 	tailBits int32 // width of the per-fault-assignment tail: nc coupler buffers + out-of-slot counter
 
-	s    State // decoded source state; Nodes reused across calls
-	next State // successor accumulator; Nodes reused across calls
+	words   [maxNodes]uint32 // the source state's node records (nodeBits)
+	srcTail uint32           // the source state's coupler/out-of-slot tail (readTail)
 
 	fas    []faultAssignment // fault choices for the current source state
 	faSigs []uint32          // (channels, activity, oos) signatures already enumerated
 
 	// reduce switches the fault-assignment repeat-skip to the commutation
 	// filter (reducedFaSignature); set only by NewReducedExpander, and only
-	// when the configuration is Reducible. ffTort/ffMin are fastForward's
-	// cycle-detection state scratches (grown on first use).
+	// when the configuration is Reducible.
 	reduce bool
-	ffTort State
-	ffMin  State
 
-	// Per-node choice lists, stored flat: node i's choices are
-	// choiceBuf[choiceEnd[i-1]:choiceEnd[i]]. choiceWords holds each
-	// choice pre-packed into its 20-bit encoding word.
-	choiceBuf   []NodeState
-	choiceEnd   []int
+	// Per-node choice words, stored flat: node i's choices are
+	// choiceWords[choiceEnd[i-1]:choiceEnd[i]], each the 20-bit record it
+	// contributes to the encoding.
 	choiceWords []uint32
+	choiceEnd   []int
 	tailWord    uint32 // the coupler/out-of-slot tail of the current fault assignment
 
 	cand [candBytes]byte // the encoding being assembled; bytes past size stay zero
@@ -108,8 +110,6 @@ func (m *Model) newExpander() *Expander {
 		size:     size,
 		nc:       m.cfg.Couplers,
 		tailBits: int32(bitsPerCoupler*m.cfg.Couplers + bitsOOS),
-		s:        State{Nodes: make([]NodeState, m.cfg.Nodes)},
-		next:     State{Nodes: make([]NodeState, m.cfg.Nodes)},
 		dcells:   make([]uint64, 64),
 		dgen:     1,
 	}
@@ -121,7 +121,7 @@ func (m *Model) newExpander() *Expander {
 // aliases the Expander's scratch.
 func (e *Expander) Successors(enc []byte) [][]byte {
 	m := e.m
-	m.decodeInto(enc, &e.s)
+	e.load(enc)
 	e.buf = e.buf[:0]
 	e.offs = e.offs[:0]
 	e.faSigs = e.faSigs[:0]
@@ -131,8 +131,8 @@ func (e *Expander) Successors(enc []byte) [][]byte {
 		e.dgen = 1
 	}
 
-	nominal, sendersPresent := m.nominalContent(&e.s)
-	e.fas = m.appendFaultAssignments(e.fas[:0], &e.s)
+	nominal, sendersPresent := m.nominalWords(e.words[:m.cfg.Nodes])
+	e.fas = m.appendFaultAssignments(e.fas[:0], e.srcTail)
 	for fi := range e.fas {
 		ch, activity := e.prepareChannels(fi, nominal, sendersPresent)
 		// Identical (channels, activity, out-of-slot) tuples determine
@@ -140,7 +140,7 @@ func (e *Expander) Successors(enc []byte) [][]byte {
 		// would replay byte for byte, so skip it. Trace explanation
 		// stays exhaustive (explain below) so rendered fault labels
 		// are unchanged.
-		sig := faSignature(ch, e.nc, activity, e.next.OutOfSlotUsed)
+		sig := faSignature(ch, e.nc, activity, tailOOS(e.tailWord))
 		if e.reduce {
 			// Commutation filter: skip fault assignments whose channel
 			// outcomes are equivalent modulo the reduction's observable
@@ -151,7 +151,8 @@ func (e *Expander) Successors(enc []byte) [][]byte {
 			continue
 		}
 		e.faSigs = append(e.faSigs, sig)
-		e.prepareChoices(ch, activity)
+		cs := summarize(&ch, activity)
+		e.prepareChoices(&cs)
 		e.emitAll(0, 0, encCursor{})
 	}
 
@@ -162,6 +163,16 @@ func (e *Expander) Successors(enc []byte) [][]byte {
 		start = end
 	}
 	return e.out
+}
+
+// load reads the source state's node records and tail out of enc.
+func (e *Expander) load(enc []byte) {
+	m := e.m
+	m.checkBinarySize(enc)
+	for i := 0; i < m.cfg.Nodes; i++ {
+		e.words[i] = nodeBits(enc, i)
+	}
+	e.srcTail = m.readTail(enc)
 }
 
 // faSignature packs the successor-determining channel outcome of a fault
@@ -191,9 +202,8 @@ func seenSig(sigs []uint32, sig uint32) bool {
 }
 
 // prepareChannels computes, for fault assignment fi, the channel
-// contents, the activity bit, and the successor's coupler/out-of-slot
-// tail (everything of e.next except Nodes), including the pre-packed
-// tail word.
+// contents and the activity bit, and sets e.tailWord to the successor's
+// packed coupler/out-of-slot tail.
 func (e *Expander) prepareChannels(fi int, nominal Content, sendersPresent bool) ([MaxCouplers]Content, bool) {
 	m := e.m
 	fa := &e.fas[fi]
@@ -203,93 +213,55 @@ func (e *Expander) prepareChannels(fi int, nominal Content, sendersPresent bool)
 	// buffered frame, and a fault-free coupler relays the nominal frame.
 	// Entries at or past e.nc stay zero — inert for every consumer.
 	var ch [MaxCouplers]Content
+	activity := sendersPresent
 	oosThisStep := uint8(0)
+	tw := uint32(0)
 	for c := 0; c < e.nc; c++ {
+		buffered := m.bufferedFrame(e.srcTail, c)
 		switch fa[c] {
 		case FaultSilence:
 			ch[c] = Content{Kind: FrameNone}
 		case FaultBadFrame:
 			ch[c] = Content{Kind: FrameBad}
 		case FaultOutOfSlot:
-			ch[c] = Content{Kind: e.s.Couplers[c].BufferedKind, ID: e.s.Couplers[c].BufferedID}
+			ch[c] = buffered
 			oosThisStep++
+			// A replayed frame is real channel activity even in a
+			// silent slot.
+			if ch[c].Kind != FrameNone {
+				activity = true
+			}
 		default:
 			ch[c] = nominal
 		}
-	}
-	// A replayed frame is real channel activity even in a silent slot.
-	activity := sendersPresent
-	for c := 0; c < e.nc; c++ {
-		if fa[c] == FaultOutOfSlot && ch[c].Kind != FrameNone {
-			activity = true
-		}
-	}
-
-	// Coupler buffers track the frame on their channel (§4.4: updated
-	// whenever the id on the channel is non-zero).
-	for c := 0; c < e.nc; c++ {
-		e.next.Couplers[c] = e.s.Couplers[c]
+		// Coupler buffers track the frame on their channel (§4.4:
+		// updated whenever the id on the channel is non-zero).
 		if ch[c].ID != 0 {
-			e.next.Couplers[c] = CouplerState{BufferedID: ch[c].ID, BufferedKind: ch[c].Kind}
+			buffered = ch[c]
 		}
+		tw = tw<<bitsPerCoupler | uint32(buffered.Kind)<<bitsBufID | uint32(buffered.ID)
 	}
-	oosUsed := e.s.OutOfSlotUsed
+	oosUsed := tailOOS(e.srcTail)
 	if m.cfg.MaxOutOfSlot > 0 {
 		oosUsed += oosThisStep
 		if int(oosUsed) > m.cfg.MaxOutOfSlot {
 			oosUsed = uint8(m.cfg.MaxOutOfSlot) // saturate (choice already vetoed)
 		}
 	}
-	e.next.OutOfSlotUsed = oosUsed
-
-	tw := uint32(0)
-	for c := 0; c < e.nc; c++ {
-		cs := &e.next.Couplers[c]
-		if uint32(cs.BufferedKind) >= 1<<bitsKind || uint32(cs.BufferedID) >= 1<<bitsBufID {
-			panic(fmt.Sprintf("model: coupler state %+v overflows its fields", *cs))
-		}
-		tw = tw<<bitsPerCoupler | uint32(cs.BufferedKind)<<bitsBufID | uint32(cs.BufferedID)
-	}
 	e.tailWord = tw<<bitsOOS | uint32(oosUsed)
 	return ch, activity
 }
 
-// prepareChoices builds the per-node next-state choice lists for the
-// given channel contents, plus each choice's pre-packed 20-bit encoding
-// word; freeze/init nodes are nondeterministic.
-func (e *Expander) prepareChoices(ch [MaxCouplers]Content, activity bool) {
+// prepareChoices builds every node's choice words under channel summary
+// cs with the packed node step; freeze/init nodes are nondeterministic.
+func (e *Expander) prepareChoices(cs *chanSum) {
 	m := e.m
-	e.choiceBuf = e.choiceBuf[:0]
-	e.choiceEnd = e.choiceEnd[:0]
 	e.choiceWords = e.choiceWords[:0]
-	for i := range e.s.Nodes {
-		prev := len(e.choiceBuf)
-		e.choiceBuf = m.appendNodeChoices(e.choiceBuf, e.s.Nodes[i], uint8(i+1), ch, activity)
-		e.choiceEnd = append(e.choiceEnd, len(e.choiceBuf))
-		for j := prev; j < len(e.choiceBuf); j++ {
-			e.choiceWords = append(e.choiceWords, nodeWord(&e.choiceBuf[j]))
-		}
+	e.choiceEnd = e.choiceEnd[:0]
+	for i := 0; i < m.cfg.Nodes; i++ {
+		e.choiceWords = m.appendChoiceWords(e.choiceWords, e.words[i], uint8(i+1), cs)
+		e.choiceEnd = append(e.choiceEnd, len(e.choiceWords))
 	}
-}
-
-// nodeWord packs one node state into its 20-bit encoding word, in
-// appendBinary's field order, with the same range guards bitWriter.put
-// enforced per field.
-func nodeWord(n *NodeState) uint32 {
-	if uint32(n.Phase) >= 1<<bitsPhase || uint32(n.Slot) >= 1<<bitsSlot ||
-		uint32(n.Agreed) >= 1<<bitsAgreed || uint32(n.Failed) >= 1<<bitsFailed ||
-		uint32(n.Timeout) >= 1<<bitsTimeout {
-		panic(fmt.Sprintf("model: node state %+v overflows its fields", *n))
-	}
-	w := uint32(n.Phase)<<(bitsPerNode-bitsPhase) |
-		uint32(n.Slot)<<(bitsAgreed+bitsFailed+bitsTimeout) |
-		uint32(n.Agreed)<<(bitsFailed+bitsTimeout) |
-		uint32(n.Failed)<<bitsTimeout |
-		uint32(n.Timeout)
-	if n.BigBang {
-		w |= 1 << (bitsSlot + bitsAgreed + bitsFailed + bitsTimeout)
-	}
-	return w
 }
 
 // encCursor is the incremental bit-packing state threaded by value
@@ -319,9 +291,9 @@ func (e *Expander) push(st encCursor, w uint32, bits int32) encCursor {
 // emitAll enumerates the cartesian product of the choice lists — the
 // last node varies fastest, matching the serial recursion the checker's
 // counts are pinned to — packing each node's pre-computed word as it
-// recurses. lo is the start of node's range in choiceBuf.
+// recurses. lo is the start of node's range in choiceWords.
 func (e *Expander) emitAll(node, lo int, st encCursor) {
-	if node == len(e.next.Nodes) {
+	if node == len(e.choiceEnd) {
 		e.emit(st)
 		return
 	}
@@ -335,10 +307,7 @@ func (e *Expander) emitAll(node, lo int, st encCursor) {
 // keeps it only if new. Duplicates — the common case, since distinct
 // choice combinations often coincide — cost one hash probe.
 func (e *Expander) emit(st encCursor) {
-	st = e.push(st, e.tailWord, e.tailBits)
-	if st.nb > 0 {
-		e.cand[st.pos] = byte(st.acc << (8 - st.nb)) // flush, zero-padded like bitWriter
-	}
+	e.finish(st)
 	if (len(e.offs)+1)*2 > len(e.dcells) {
 		e.growDedup()
 	}
@@ -357,6 +326,15 @@ func (e *Expander) emit(st encCursor) {
 		if bytes.Equal(e.buf[idx*e.size:(idx+1)*e.size], e.cand[:e.size]) {
 			return
 		}
+	}
+}
+
+// finish closes the encoding in e.cand with the fault assignment's tail
+// word and the zero padding.
+func (e *Expander) finish(st encCursor) {
+	st = e.push(st, e.tailWord, e.tailBits)
+	if st.nb > 0 {
+		e.cand[st.pos] = byte(st.acc << (8 - st.nb)) // flush, zero-padded like bitWriter
 	}
 }
 
@@ -390,47 +368,45 @@ func (e *Expander) growDedup() {
 }
 
 // explain searches for a fault/channel assignment under which from steps
-// to target — the cold-path twin of Successors used for trace rendering.
-// Unlike Successors it enumerates every fault assignment, including ones
-// whose channel outcomes coincide, so the first matching assignment —
-// and therefore the rendered fault labels — is exactly what the
-// pre-dedup enumeration reported.
+// to target — the cold-path twin of Successors used for trace rendering,
+// on the same packed choice words. Unlike Successors it enumerates every
+// fault assignment, including ones whose channel outcomes coincide, so
+// the first matching assignment — and therefore the rendered fault
+// labels — is exactly what the pre-dedup enumeration reported.
 func (e *Expander) explain(from, target []byte) (StepInfo, bool) {
 	m := e.m
-	m.decodeInto(from, &e.s)
-	e.buf = e.buf[:0]
-
-	nominal, sendersPresent := m.nominalContent(&e.s)
-	e.fas = m.appendFaultAssignments(e.fas[:0], &e.s)
+	e.load(from)
+	if len(target) != e.size {
+		return StepInfo{}, false
+	}
+	nominal, sendersPresent := m.nominalWords(e.words[:m.cfg.Nodes])
+	e.fas = m.appendFaultAssignments(e.fas[:0], e.srcTail)
 	for fi := range e.fas {
 		ch, activity := e.prepareChannels(fi, nominal, sendersPresent)
-		e.prepareChoices(ch, activity)
-		if e.findTarget(0, 0, target) {
+		cs := summarize(&ch, activity)
+		e.prepareChoices(&cs)
+		if e.reaches(target) {
 			return StepInfo{Faults: e.fas[fi], Channels: ch}, true
 		}
 	}
 	return StepInfo{}, false
 }
 
-// findTarget is emitAll's searching twin: it reports whether any choice
-// assignment encodes to target. It assembles e.next.Nodes and packs with
-// appendBinary — the reference writer — rather than the incremental
-// word path, which doubles as an equivalence check between the two
-// encoders on every explained trace step.
-func (e *Expander) findTarget(node, lo int, target []byte) bool {
-	if node == len(e.next.Nodes) {
-		start := len(e.buf)
-		e.buf = e.m.appendBinary(e.buf, &e.next)
-		eq := bytes.Equal(e.buf[start:], target)
-		e.buf = e.buf[:start]
-		return eq
-	}
-	hi := e.choiceEnd[node]
-	for i := lo; i < hi; i++ {
-		e.next.Nodes[node] = e.choiceBuf[i]
-		if e.findTarget(node+1, hi, target) {
-			return true
+// reaches reports whether some choice assignment under the current fault
+// assignment encodes to target. Each node's choice must be target's
+// record for that node, so it takes one membership test per node; the
+// assembled encoding must then equal target in its tail and padding too.
+func (e *Expander) reaches(target []byte) bool {
+	var st encCursor
+	lo := 0
+	for i, hi := range e.choiceEnd {
+		w := nodeBits(target, i)
+		if !slices.Contains(e.choiceWords[lo:hi], w) {
+			return false
 		}
+		st = e.push(st, w, bitsPerNode)
+		lo = hi
 	}
-	return false
+	e.finish(st)
+	return bytes.Equal(e.cand[:e.size], target)
 }

@@ -1,7 +1,9 @@
 package model
 
 import (
+	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"ttastar/internal/guardian"
@@ -89,45 +91,11 @@ func TestExpanderMatchesModelSuccessors(t *testing.T) {
 	}
 }
 
-// referenceSuccessors re-implements the pre-incremental-encoder
-// enumeration: assemble each successor State choice by choice, pack it
-// with appendBinary (the reference bit writer), and dedup with a map,
-// keeping first-occurrence order. No fault-assignment signature skipping
-// — every assignment is enumerated.
-func referenceSuccessors(m *Model, e *Expander, enc []byte) [][]byte {
-	m.decodeInto(enc, &e.s)
-	nominal, sendersPresent := m.nominalContent(&e.s)
-	e.fas = m.appendFaultAssignments(e.fas[:0], &e.s)
-	seen := map[string]bool{}
-	var out [][]byte
-	var rec func(node, lo int)
-	rec = func(node, lo int) {
-		if node == len(e.next.Nodes) {
-			b := m.appendBinary(nil, &e.next)
-			if !seen[string(b)] {
-				seen[string(b)] = true
-				out = append(out, b)
-			}
-			return
-		}
-		for i := lo; i < e.choiceEnd[node]; i++ {
-			e.next.Nodes[node] = e.choiceBuf[i]
-			rec(node+1, e.choiceEnd[node])
-		}
-	}
-	for fi := range e.fas {
-		ch, activity := e.prepareChannels(fi, nominal, sendersPresent)
-		e.prepareChoices(ch, activity)
-		rec(0, 0)
-	}
-	return out
-}
-
-// TestIncrementalEncoderMatchesReference pins the hot path's two
-// shortcuts — the pre-packed 20-bit word encoder and the
-// fault-assignment signature dedup — against the straightforward
-// enumeration: assemble every successor State, pack it with
-// appendBinary, dedup with a map. Byte-for-byte, order included.
+// TestIncrementalEncoderMatchesReference pins the hot path — the packed
+// node step, the incremental word encoder and the fault-assignment
+// signature dedup — against the struct reference (refSuccessors):
+// decode, step node structs, assemble every successor State, pack it
+// with appendBinary, dedup with a map. Byte-for-byte, order included.
 func TestIncrementalEncoderMatchesReference(t *testing.T) {
 	for _, cfg := range []Config{
 		{},
@@ -137,11 +105,10 @@ func TestIncrementalEncoderMatchesReference(t *testing.T) {
 	} {
 		m := mustModel(t, cfg)
 		fast := m.newExpander()
-		ref := m.newExpander()
 		states := collectLevels(t, m, fast, 4)
 		for _, s := range states {
 			got := fast.Successors(s)
-			want := referenceSuccessors(m, ref, s)
+			want := m.refSuccessors(s, false)
 			if len(got) != len(want) {
 				t.Fatalf("cfg %+v state %x: %d successors, reference %d", cfg, s, len(got), len(want))
 			}
@@ -294,5 +261,154 @@ func TestEngineMatchesStringOracleE1Matrix(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// fuzzSuccessorConfig derives a model configuration from fuzzed bits,
+// one mixed-radix digit per axis: 2–7 nodes, 1–3 couplers, the four
+// authorities, the option flags, a replay budget of 0–2, a data-slot set
+// and, half the time, per-coupler fault masks.
+func fuzzSuccessorConfig(bits uint64) Config {
+	take := func(n uint64) uint64 {
+		v := bits % n
+		bits /= n
+		return v
+	}
+	cfg := Config{
+		Nodes:             2 + int(take(6)),
+		Couplers:          1 + int(take(3)),
+		Authority:         guardian.AuthorityPassive + guardian.Authority(take(4)),
+		AllowHostStates:   take(2) == 1,
+		AllowInitFreeze:   take(2) == 1,
+		DisableBigBang:    take(2) == 1,
+		NoColdStartReplay: take(2) == 1,
+		MaxOutOfSlot:      int(take(3)),
+	}
+	for s := 1; s <= cfg.Nodes; s++ {
+		if take(4) == 0 {
+			cfg.DataSlots = append(cfg.DataSlots, s)
+		}
+	}
+	if take(2) == 1 {
+		for c := 0; c < cfg.Couplers; c++ {
+			cfg.CouplerFaults = append(cfg.CouplerFaults, FaultSet(take(8)))
+		}
+	}
+	return cfg
+}
+
+// anyPhaseState reads a packed state of m out of raw (zero-extended or
+// truncated to the encoding width) with every field within its packed
+// width. Phase nibbles past the modeled phases fold onto them; phase 0
+// stays, so the unknown-phase path is exercised too.
+func anyPhaseState(m *Model, raw []byte) []byte {
+	enc := make([]byte, binarySize(m.Config().Nodes, m.Config().Couplers))
+	copy(enc, raw)
+	s := m.DecodeBinary(mc.State(enc))
+	for i := range s.Nodes {
+		if p := s.Nodes[i].Phase; p > PhaseDownload {
+			s.Nodes[i].Phase = p%PhaseDownload + 1
+		}
+	}
+	return m.appendBinary(nil, &s)
+}
+
+// FuzzSuccessors: on any in-range packed state of any fuzzed model the
+// packed Successors — oracle and reduced expander — writes exactly the
+// struct reference's successor list, in order, and allocates nothing once
+// warm; explain reports the reference's StepInfo for successors and
+// rejects a non-successor.
+func FuzzSuccessors(f *testing.F) {
+	for _, bits := range []uint64{0, 1, 3, 5, 17, 100, 4321, 98765, 1 << 20, 123456789} {
+		m, err := New(fuzzSuccessorConfig(bits))
+		if err != nil {
+			f.Fatal(err)
+		}
+		// A narrow walk: the last successor of the first state, six
+		// levels deep, each level's first and last state a seed.
+		e := m.newExpander()
+		s := []byte(m.Initial()[0])
+		for d := 0; d < 6; d++ {
+			succs := e.Successors(s)
+			f.Add(bits, slices.Clone(succs[0]))
+			s = slices.Clone(succs[len(succs)-1])
+			f.Add(bits, s)
+		}
+	}
+	f.Fuzz(func(t *testing.T, bits uint64, raw []byte) {
+		cfg := fuzzSuccessorConfig(bits)
+		m, err := New(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", cfg, err)
+		}
+		in := anyPhaseState(m, raw)
+		for _, e := range []*Expander{m.newExpander(), m.NewReducedExpander().(*Expander)} {
+			got := e.Successors(in)
+			want := m.refSuccessors(in, e.reduce)
+			if len(got) != len(want) {
+				t.Fatalf("%+v reduce=%v: Successors(%x) has %d states, reference %d\nstate %v",
+					cfg, e.reduce, in, len(got), len(want), m.Decode(mc.State(in)))
+			}
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("%+v reduce=%v: Successors(%x)[%d] = %x, reference %x\nstate %v",
+						cfg, e.reduce, in, i, got[i], want[i], m.Decode(mc.State(in)))
+				}
+			}
+			if allocs := testing.AllocsPerRun(2, func() { e.Successors(in) }); allocs != 0 {
+				t.Fatalf("%+v reduce=%v: Successors(%x) allocates: %.1f allocs/op", cfg, e.reduce, in, allocs)
+			}
+		}
+
+		e := m.newExpander()
+		succs := m.refSuccessors(in, false)
+		// Explain a spread of at most 16 successors: the reference
+		// explain re-enumerates every choice combination.
+		for i := 0; i < len(succs); i += 1 + len(succs)/16 {
+			got, ok := e.explain(in, succs[i])
+			want, wok := m.refExplain(in, succs[i])
+			if !ok || !wok || got != want {
+				t.Fatalf("%+v: explain(%x -> %x) = %+v %v, reference %+v %v",
+					cfg, in, succs[i], got, ok, want, wok)
+			}
+		}
+		seen := map[string]bool{}
+		for _, s := range succs {
+			seen[string(s)] = true
+		}
+		non := slices.Clone(succs[0])
+		for bit := 0; bit < 8*len(non); bit++ {
+			non[bit/8] ^= 0x80 >> (bit % 8)
+			if !seen[string(non)] {
+				if info, ok := e.explain(in, non); ok {
+					t.Fatalf("%+v: explain accepted non-successor %x of %x: %+v", cfg, non, in, info)
+				}
+				if _, ok := m.refExplain(in, non); ok {
+					t.Fatalf("%+v: reference explain accepted non-successor %x of %x", cfg, non, in)
+				}
+				break
+			}
+			non[bit/8] ^= 0x80 >> (bit % 8)
+		}
+	})
+}
+
+// successorSink keeps BenchmarkSuccessors' result live.
+var successorSink [][]byte
+
+// BenchmarkSuccessors times one reduced-expander Successors call per op
+// over BenchmarkCanonicalize's corpus — the expand layer on its own. One
+// warm pass first grows the scratch to its high-water mark, so even a
+// single timed op reports the steady state's zero allocations.
+func BenchmarkSuccessors(b *testing.B) {
+	m, corpus := canonCorpus()
+	e := m.NewReducedExpander().(*Expander)
+	for _, s := range corpus {
+		e.Successors(s)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		successorSink = e.Successors(corpus[i%len(corpus)])
 	}
 }

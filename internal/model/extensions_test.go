@@ -104,14 +104,14 @@ func TestDataSlotFramesAreOther(t *testing.T) {
 	m := mustModel(t, Config{DataSlots: []int{2}})
 	s := State{Nodes: make([]NodeState, 4)}
 	s.Nodes[1] = NodeState{Phase: PhaseActive, Slot: 2}
-	c, present := m.nominalContent(&s)
+	c, present := m.packedNominal(&s)
 	if !present || c.Kind != FrameOther || c.ID != 2 {
 		t.Errorf("data-slot content = %+v", c)
 	}
 	// Non-data slots still carry C-state frames.
 	s.Nodes[1] = NodeState{}
 	s.Nodes[2] = NodeState{Phase: PhaseActive, Slot: 3}
-	c, _ = m.nominalContent(&s)
+	c, _ = m.packedNominal(&s)
 	if c.Kind != FrameCState {
 		t.Errorf("regular slot content = %+v", c)
 	}

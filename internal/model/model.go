@@ -130,6 +130,10 @@ func (f Fault) String() string {
 // — the paper's cluster. Config.Couplers overrides it per model.
 const NumCouplers = 2
 
+// maxNodes bounds Config.Nodes: listen timeouts (node_id + N) must fit
+// their 4-bit field.
+const maxNodes = 7
+
 // MaxCouplers bounds Config.Couplers: coupler buffer ids must fit the
 // packed layout and State.Couplers is a fixed array sized for the worst
 // case. Entries at or past a model's coupler count stay zero-valued.
@@ -324,8 +328,8 @@ var _ mc.ExpanderModel = (*Model)(nil)
 // New builds a model from cfg.
 func New(cfg Config) (*Model, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Nodes < 2 || cfg.Nodes > 7 {
-		return nil, fmt.Errorf("model: %d nodes outside [2,7]", cfg.Nodes)
+	if cfg.Nodes < 2 || cfg.Nodes > maxNodes {
+		return nil, fmt.Errorf("model: %d nodes outside [2,%d]", cfg.Nodes, maxNodes)
 	}
 	if cfg.Couplers < 1 || cfg.Couplers > MaxCouplers {
 		return nil, fmt.Errorf("model: %d couplers outside [1,%d]", cfg.Couplers, MaxCouplers)

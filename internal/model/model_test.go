@@ -273,10 +273,53 @@ func TestJudge(t *testing.T) {
 		{"otherCorrect", [MaxCouplers]Content{{Kind: FrameOther, ID: 3}, {Kind: FrameNone}}, 3, true, FrameCState},
 	}
 	for _, tc := range cases {
+		if got := packedJudge(tc.ch, tc.slot, tc.activity); got != tc.want {
+			t.Errorf("%s: packed judge = %v, want %v", tc.name, got, tc.want)
+		}
 		if got := judge(tc.ch, tc.slot, tc.activity); got != tc.want {
-			t.Errorf("%s: judge = %v, want %v", tc.name, got, tc.want)
+			t.Errorf("%s: reference judge = %v, want %v", tc.name, got, tc.want)
 		}
 	}
+}
+
+// packedJudge reads the packed step's verdict for slot out of the
+// channel summary: agreed (FrameCState), failed (FrameBad) or null
+// (FrameNone), in the reference judge's terms.
+func packedJudge(ch [MaxCouplers]Content, slot uint8, activity bool) FrameKind {
+	cs := summarize(&ch, activity)
+	switch {
+	case cs.agree>>slot&1 != 0:
+		return FrameCState
+	case cs.fail>>slot&1 != 0:
+		return FrameBad
+	default:
+		return FrameNone
+	}
+}
+
+// packedStep drives the packed node step on a node given as a struct.
+func (m *Model) packedStep(n NodeState, own uint8, ch [MaxCouplers]Content, activity bool) NodeState {
+	cs := summarize(&ch, activity)
+	return nodeFromWord(m.stepWord(nodeWord(&n), own, &cs))
+}
+
+// packedChoices is the packed choice list of a node given as a struct.
+func (m *Model) packedChoices(n NodeState, own uint8, ch [MaxCouplers]Content, activity bool) []NodeState {
+	cs := summarize(&ch, activity)
+	var out []NodeState
+	for _, w := range m.appendChoiceWords(nil, nodeWord(&n), own, &cs) {
+		out = append(out, nodeFromWord(w))
+	}
+	return out
+}
+
+// packedNominal is the packed nominal frame of a state given as a struct.
+func (m *Model) packedNominal(s *State) (Content, bool) {
+	words := make([]uint32, len(s.Nodes))
+	for i := range s.Nodes {
+		words[i] = nodeWord(&s.Nodes[i])
+	}
+	return m.nominalWords(words)
 }
 
 func TestStepListenBigBang(t *testing.T) {
@@ -285,8 +328,8 @@ func TestStepListenBigBang(t *testing.T) {
 	silent := [MaxCouplers]Content{{Kind: FrameNone}, {Kind: FrameNone}}
 
 	// First cold-start frame arms big bang without integrating.
-	n := m.enterListen(2)
-	n1 := m.stepListen(n, 2, cs)
+	n := nodeFromWord(m.listenWord(2))
+	n1 := m.packedStep(n, 2, cs, true)
 	if n1.Phase != PhaseListen || !n1.BigBang {
 		t.Fatalf("after first cold-start: %+v", n1)
 	}
@@ -294,12 +337,12 @@ func TestStepListenBigBang(t *testing.T) {
 		t.Errorf("timeout not reset: %d", n1.Timeout)
 	}
 	// Second cold-start frame integrates: slot = sender+1, passive.
-	n2 := m.stepListen(n1, 2, cs)
+	n2 := m.packedStep(n1, 2, cs, true)
 	if n2.Phase != PhasePassive || n2.Slot != 2 || n2.Agreed != 2 || n2.Failed != 0 {
 		t.Errorf("after second cold-start: %+v", n2)
 	}
 	// Timeout decrements in silence.
-	n3 := m.stepListen(n1, 2, silent)
+	n3 := m.packedStep(n1, 2, silent, false)
 	if n3.Timeout != n1.Timeout-1 {
 		t.Errorf("timeout did not decrement: %d", n3.Timeout)
 	}
@@ -308,7 +351,7 @@ func TestStepListenBigBang(t *testing.T) {
 func TestStepListenCStateIntegratesImmediately(t *testing.T) {
 	m := mustModel(t, Config{})
 	ch := [MaxCouplers]Content{{Kind: FrameCState, ID: 4}, {Kind: FrameNone}}
-	n := m.stepListen(m.enterListen(2), 2, ch)
+	n := m.packedStep(nodeFromWord(m.listenWord(2)), 2, ch, true)
 	if n.Phase != PhasePassive || n.Slot != 1 { // slot 4 wraps to 1
 		t.Errorf("C-state integration: %+v", n)
 	}
@@ -318,16 +361,41 @@ func TestStepListenTimeoutToColdStart(t *testing.T) {
 	m := mustModel(t, Config{})
 	silent := [MaxCouplers]Content{{Kind: FrameNone}, {Kind: FrameNone}}
 	n := NodeState{Phase: PhaseListen, Timeout: 0}
-	got := m.stepListen(n, 3, silent)
+	got := m.packedStep(n, 3, silent, false)
 	if got.Phase != PhaseColdStart || got.Slot != 3 || got.Agreed != 1 {
 		t.Errorf("timeout expiry: %+v", got)
 	}
 	// A cold-start frame on the channel keeps the node in listen even at
 	// timeout zero (§4.3).
 	cs := [MaxCouplers]Content{{Kind: FrameColdStart, ID: 1}, {Kind: FrameNone}}
-	got = m.stepListen(n, 3, cs)
+	got = m.packedStep(n, 3, cs, true)
 	if got.Phase != PhaseListen {
 		t.Errorf("cold-start frame did not hold node in listen: %+v", got)
+	}
+}
+
+// TestStepOperationalCountersSaturate: the agreed and failed counters
+// stop at 15, the top of their 4-bit fields, in both steppers.
+func TestStepOperationalCountersSaturate(t *testing.T) {
+	m := mustModel(t, Config{})
+	agree := [MaxCouplers]Content{{Kind: FrameCState, ID: 2}, {Kind: FrameCState, ID: 2}}
+	fail := [MaxCouplers]Content{{Kind: FrameBad}, {Kind: FrameBad}}
+	for _, tc := range []struct {
+		ch   [MaxCouplers]Content
+		n    NodeState
+		want NodeState
+	}{
+		{agree, NodeState{Phase: PhasePassive, Slot: 2, Agreed: 15, Failed: 3},
+			NodeState{Phase: PhasePassive, Slot: 3, Agreed: 15, Failed: 3}},
+		{fail, NodeState{Phase: PhaseActive, Slot: 2, Agreed: 4, Failed: 15},
+			NodeState{Phase: PhaseActive, Slot: 3, Agreed: 4, Failed: 15}},
+	} {
+		if got := m.packedStep(tc.n, 1, tc.ch, true); got != tc.want {
+			t.Errorf("packed step of %+v = %+v, want %+v", tc.n, got, tc.want)
+		}
+		if got := m.stepOperational(tc.n, 1, tc.ch, true); got != tc.want {
+			t.Errorf("reference step of %+v = %+v, want %+v", tc.n, got, tc.want)
+		}
 	}
 }
 
@@ -338,7 +406,7 @@ func TestNominalContentCollision(t *testing.T) {
 	s.Nodes[1] = NodeState{Phase: PhaseActive, Slot: 2}
 	// Both believe it is their own slot: collision.
 	s.Nodes[1].Slot = 2
-	c, present := m.nominalContent(&s)
+	c, present := m.packedNominal(&s)
 	if !present || c.Kind != FrameColdStart {
 		// only node 1 transmits (slot 1 == own); node 2's slot==own too!
 		t.Logf("content=%v present=%v", c, present)
@@ -346,7 +414,7 @@ func TestNominalContentCollision(t *testing.T) {
 	// Make them genuinely collide: node 2 also at its own slot.
 	s.Nodes[0] = NodeState{Phase: PhaseColdStart, Slot: 1}
 	s.Nodes[1] = NodeState{Phase: PhaseActive, Slot: 2}
-	c, present = m.nominalContent(&s)
+	c, present = m.packedNominal(&s)
 	if c.Kind != FrameBad || !present {
 		t.Errorf("two senders: content = %v, want bad_frame", c)
 	}
@@ -437,12 +505,12 @@ func TestAllowInitFreeze(t *testing.T) {
 	m := mustModel(t, Config{AllowInitFreeze: true})
 	n := NodeState{Phase: PhaseInit}
 	ch := [MaxCouplers]Content{{Kind: FrameNone}, {Kind: FrameNone}}
-	next := m.stepNode(n, 1, ch, false)
+	next := m.packedChoices(n, 1, ch, false)
 	if len(next) != 3 {
 		t.Errorf("init successors with AllowInitFreeze = %d, want 3", len(next))
 	}
 	m2 := mustModel(t, Config{})
-	if got := len(m2.stepNode(n, 1, ch, false)); got != 2 {
+	if got := len(m2.packedChoices(n, 1, ch, false)); got != 2 {
 		t.Errorf("init successors = %d, want 2", got)
 	}
 }
